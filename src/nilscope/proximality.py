@@ -258,7 +258,9 @@ def _run_search(ops, x, y, budget, seed, relation, pair_objective):
     for i, j, b in zip(ii, jj, base):
         if best is not None and b >= best[0]:
             break
-        if time.monotonic() > deadline:
+        # The first pair is always evaluated, so a cap that expires during
+        # set-up still yields a record (marked not exhausted).
+        if best is not None and time.monotonic() > deadline:
             exhausted = False
             break
         inner, m, n = pair_objective(int(i), int(j))

@@ -14,18 +14,21 @@ padding.  Reports expose the number of hypothesis-satisfying tuples so
 vacuous passes are visible.
 
 Engine: for each shift s the hypothesis condition defines a boolean
-mask over k, computed in one pass (difference array, then a
-monotone-deque sliding maximum).  Masks are memoized per shift value,
-packed into byte arrays, and combined per shift tuple with bitwise
-ANDs, so the per-tuple work is a handful of vectorized byte operations
-instead of a loop over k and i.  ``naive_test`` is the independent
-oracle: the same semantics as literal nested loops.
+mask over k, computed in one pass: a difference array, a prefix count
+of its entries >= delta, and a window-difference of that count (a
+window passes when it holds no such entry).  Masks are memoized per
+shift value, packed into byte arrays, and combined per shift tuple with
+bitwise ANDs, so the per-tuple work is a handful of vectorized byte
+operations instead of a loop over k and i.  The order-2 scan forms the
+(m, n) hypothesis rows for all n at once and visits only the nonempty
+ones; violations are extracted one packed row at a time.
+``naive_test`` is the independent oracle: the same semantics as literal
+nested loops.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -152,22 +155,6 @@ def _effective_k_range(u: SequenceSample, params: RegularityParams) -> tuple[int
     return lo, hi
 
 
-def _sliding_max(d: np.ndarray, width: int) -> np.ndarray:
-    """Maximum over each full width-window of d via a monotone deque."""
-    out = np.empty(len(d) - width + 1, dtype=np.float64)
-    dq: deque[int] = deque()
-    for i in range(len(d)):
-        v = d[i]
-        while dq and d[dq[-1]] <= v:
-            dq.pop()
-        dq.append(i)
-        if dq[0] <= i - width:
-            dq.popleft()
-        if i >= width - 1:
-            out[i - width + 1] = d[dq[0]]
-    return out
-
-
 def shift_mask(u: SequenceSample, s: int, delta: float, M: int) -> np.ndarray:
     """Boolean array over u's indices: True at k when the shift-s condition holds.
 
@@ -184,10 +171,12 @@ def shift_mask(u: SequenceSample, s: int, delta: float, M: int) -> np.ndarray:
     if i_hi - i_lo + 1 < width:
         raise ValueError(f"shift {s} with M={M} leaves no computable window")
     d = np.abs(u.values[i_lo + s : i_hi + s + 1] - u.values[i_lo : i_hi + 1])
-    win_max = _sliding_max(d, width)
+    # Sample values are finite, so max(window) < delta exactly when the
+    # window holds no entry >= delta; count those with a prefix sum.
+    c = np.concatenate(([0], np.cumsum(d >= delta)))
     mask = np.zeros(L, dtype=bool)
     k_start = i_lo + M
-    mask[k_start : k_start + len(win_max)] = win_max < delta
+    mask[k_start : k_start + len(c) - width] = c[width:] == c[:-width]
     return mask
 
 
@@ -223,42 +212,37 @@ class _Engine:
         bad = np.abs(shifted - self._base_slice) >= self.params.eps
         return np.packbits(bad)
 
-    def bits_to_ks(self, packed: np.ndarray) -> np.ndarray:
-        bits = np.unpackbits(packed, count=self.nbits)
-        return self.lo + np.flatnonzero(bits)
-
-    def gap(self, k: int, q: int) -> float:
-        i = k - self.u.n_min
-        return float(abs(self._window_vals[i + q] - self._window_vals[i]) - self.params.eps)
+    def row_violations(self, packed: np.ndarray, m: int, n: int, p: int | None) -> list[Violation]:
+        """Violations at the set bits of one packed row of base indices."""
+        idx = np.flatnonzero(np.unpackbits(packed, count=self.nbits))
+        i = self._base_offset + idx
+        d = self._window_vals[i + m + n + (p or 0)] - self._window_vals[i]
+        # hypot, not np.abs: it matches the scalar abs of naive_test bit for bit.
+        gaps = np.hypot(d.real, d.imag) - self.params.eps
+        return [Violation(k, m, n, p, g) for k, g in zip((self.lo + idx).tolist(), gaps.tolist())]
 
 
 def _scan_order2_block(eng: _Engine, m_values, S: int):
     PM = np.vstack([eng.packed_mask(s) for s in range(-2 * S, 2 * S + 1)])
     VQ = np.vstack([eng.packed_viol(q) for q in range(-3 * S, 3 * S + 1)])
     off2, off3 = 2 * S, 3 * S
-    p_rows = PM[S : 3 * S + 1]  # masks for p in [-S, S]
+    n_rows = PM[S : 3 * S + 1]  # masks for n (and p) in [-S, S]
     violations: list[Violation] = []
     hyp_total = 0
     scanned = 0
-    span = range(-S, S + 1)
     for m in m_values:
-        Am = PM[m + off2]
-        for n in span:
-            scanned += 2 * S + 1
-            A = Am & PM[n + off2] & PM[m + n + off2]
-            if not A.any():
-                continue
-            block = p_rows & PM[m + off2 - S : m + off2 + S + 1]
-            block &= PM[n + off2 - S : n + off2 + S + 1]
-            block &= A[None, :]
+        scanned += (2 * S + 1) ** 2
+        # Row t of Bm: the hypotheses at shifts t and m + t, for t = n or p.
+        Bm = n_rows & PM[m + off2 - S : m + off2 + S + 1]
+        A = Bm & PM[m + off2]  # row n: shifts m, n and m + n
+        for n_idx in np.flatnonzero(A.any(axis=1)):
+            n = int(n_idx) - S
+            block = Bm & PM[n + off2 - S : n + off2 + S + 1]
+            block &= A[n_idx]
             hyp_total += int(np.bitwise_count(block).sum())
             viol = block & VQ[m + n + off3 - S : m + n + off3 + S + 1]
-            if viol.any():
-                for p_idx in np.flatnonzero(viol.any(axis=1)):
-                    p = p_idx - S
-                    q = m + n + p
-                    for k in eng.bits_to_ks(viol[p_idx]):
-                        violations.append(Violation(int(k), m, n, int(p), eng.gap(int(k), q)))
+            for p_idx in np.flatnonzero(viol.any(axis=1)):
+                violations += eng.row_violations(viol[p_idx], m, n, int(p_idx) - S)
     return violations, hyp_total, scanned
 
 
@@ -266,21 +250,16 @@ def _scan_order1_block(eng: _Engine, m_values, S: int):
     PM = np.vstack([eng.packed_mask(s) for s in range(-S, S + 1)])
     VQ = np.vstack([eng.packed_viol(q) for q in range(-2 * S, 2 * S + 1)])
     off1, off2 = S, 2 * S
-    n_rows = PM
     violations: list[Violation] = []
     hyp_total = 0
     scanned = 0
     for m in m_values:
         scanned += 2 * S + 1
-        block = n_rows & PM[m + off1][None, :]
+        block = PM & PM[m + off1][None, :]
         hyp_total += int(np.bitwise_count(block).sum())
         viol = block & VQ[m + off2 - S : m + off2 + S + 1]
-        if viol.any():
-            for n_idx in np.flatnonzero(viol.any(axis=1)):
-                n = n_idx - S
-                q = m + n
-                for k in eng.bits_to_ks(viol[n_idx]):
-                    violations.append(Violation(int(k), m, int(n), None, eng.gap(int(k), q)))
+        for n_idx in np.flatnonzero(viol.any(axis=1)):
+            violations += eng.row_violations(viol[n_idx], m, int(n_idx) - S, None)
     return violations, hyp_total, scanned
 
 

@@ -37,11 +37,13 @@ class TestShiftMask:
         assert mask[2:-2].all()
         assert not mask[:2].any() and not mask[-2:].any()
 
-    @given(st.integers(-6, 6), st.integers(0, 3), st.floats(0.05, 2.0))
+    # delta reaches past the largest difference (2 * sqrt(2)), so wide
+    # windows also yield partly and wholly True masks.
+    @given(st.integers(-40, 40), st.integers(0, 25), st.floats(0.05, 3.0))
     @settings(max_examples=30)
     def test_agrees_with_direct_double_loop(self, s, M, delta):
         gen = np.random.default_rng(42)
-        u = random_sample(gen, 25)
+        u = random_sample(gen, 60)
         mask = rg.shift_mask(u, s, delta, M)
         vals = u.values
         L = len(vals)
@@ -203,12 +205,31 @@ class TestEngineOracleEquivalence:
             M=int(gen.integers(0, 3)),
             shift_max=int(gen.integers(1, 5)),
         )
+        self.assert_identical(u, params)
+
+    def test_identical_reports_sparse_rows(self):
+        # Period 5 plus a complex bump: only the 25 (m, n) rows with both
+        # shifts divisible by 5 have a hypothesis, and the bump gives some
+        # of them dozens of violations whose gaps must match bit for bit.
+        gen = np.random.default_rng(11)
+        n = np.arange(-60, 61)
+        vals = np.exp(2j * np.pi * n / 5)
+        bump = np.abs(n) <= 15
+        vals[bump] += 0.25 * np.exp(2j * np.pi * gen.uniform(size=bump.sum()))
+        u = sample(vals, n_min=-60)
+        params = rg.RegularityParams(order=1, eps=0.1, delta=0.6, M=3, shift_max=12)
+        fast = self.assert_identical(u, params)
+        assert len({(v.m, v.n) for v in fast.violations}) < 25 < len(fast.violations)
+
+    @staticmethod
+    def assert_identical(u, params):
         fast = rg.run_test(u, params)
         slow = rg.naive_test(u, params)
         assert [v.as_tuple() for v in fast.violations] == [v.as_tuple() for v in slow.violations]
         assert fast.hypothesis_count == slow.hypothesis_count
         assert fast.scanned == slow.scanned
         assert (fast.k_lo, fast.k_hi) == (slow.k_lo, slow.k_hi)
+        return fast
 
 
 class TestInvariants:
