@@ -456,11 +456,12 @@ def cmd_pped_complete(args: argparse.Namespace) -> int:
         "face_tol": face_tol,
         "resid_tol": resid_tol,
     }
+    spread = "truncated" if result.spread is None else f"{result.spread:.3e}"
     _emit(
         payload,
         res,
         f"x7 = {_point_to_list(result.x7)} residual {result.residual:.3e} "
-        f"spread {result.spread:.3e} [{result.status}]",
+        f"spread {spread} [{result.status}]",
     )
     return EXIT_OK if result.status == "ok" else EXIT_FINDING
 

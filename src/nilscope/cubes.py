@@ -134,7 +134,8 @@ class CompletionResult:
     ``spread`` is the largest distance between the returned x7 and the
     completions produced by any witness whose objective is within twice
     the best residual; on systems with a strong parallelepiped
-    structure it stays comparable to the residual itself.  ``status``
+    structure it stays comparable to the residual itself.  It is None
+    when there are too many such witnesses to enumerate.  ``status``
     is "ok" when the residual beat the tolerance and "inconclusive"
     otherwise (never "not a parallelepiped": the search is one-sided).
     """
@@ -142,7 +143,7 @@ class CompletionResult:
     x7: object
     residual: float
     witness_mnp: tuple[int, int, int]
-    spread: float
+    spread: float | None
     status: str
 
 
@@ -557,10 +558,10 @@ def pped_complete(
     x7 = _advance(spec, seven[0], m + n + p)
 
     # Uniqueness diagnostic: completions from all witnesses within twice
-    # the best residual.
-    spread = 0.0
+    # the best residual; None when they are too many to enumerate.
     threshold = max(2.0 * residual, 1e-12)
     near = _enumerate_below(tables, horizon, threshold, cap=4096)
+    spread = None if near is None else 0.0
     if near:
         pdist = nil_dist if spec.kind == "heisenberg" else torus_dist
         for cand in near:

@@ -15,8 +15,12 @@ p, q we minimize the symmetrized box norm
 
     ||(x, y, z)||_sym = max(|x|, |y|, |z - x*y/2|)
 
-of p * (q * gamma)^{-1} over lattice elements gamma with coordinates in
-{-LATTICE_WINDOW, ..., LATTICE_WINDOW}^3.  The symmetrized central
+of p * (q * gamma)^{-1} over all lattice elements gamma = (a, b, c).  The
+minimum is attained in the window {-2, ..., 2}^3 and is computed from 18
+candidates: a, b in {-1, 0, 1} (a or b = +-2 already gives a coordinate
+of norm at least 1, while gamma = (0, 0, c) always gives less), and for
+each (a, b) the two integers c next to the symmetrized central coordinate
+at c = 0, since c only shifts that coordinate.  The symmetrized central
 coordinate makes ||g|| = ||g^{-1}|| exact, so the gauge is symmetric.  It
 separates points, is continuous, and is compatible with the quotient
 topology, which is all the regional-proximality machinery needs.  It is
@@ -39,7 +43,6 @@ __all__ = [
     "GroupElement",
     "NilPoint",
     "IDENTITY",
-    "LATTICE_WINDOW",
     "mul",
     "inv",
     "commutator",
@@ -52,10 +55,6 @@ __all__ = [
     "dist_arr",
     "dist_point",
 ]
-
-#: Half-width of the lattice window scanned when evaluating the gauge.
-LATTICE_WINDOW = 2
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -157,20 +156,13 @@ def sym_norm(g: GroupElement) -> float:
     return max(abs(g.x), abs(g.y), abs(g.z - 0.5 * g.x * g.y))
 
 
-# Lattice window used by the gauge, as an array of shape (W, 3).
-_LATTICE = np.array(
-    [
-        (a, b, c)
-        for a in range(-LATTICE_WINDOW, LATTICE_WINDOW + 1)
-        for b in range(-LATTICE_WINDOW, LATTICE_WINDOW + 1)
-        for c in range(-LATTICE_WINDOW, LATTICE_WINDOW + 1)
-    ],
-    dtype=np.float64,
-)
+# Abelian parts (a, b) of the lattice elements that can attain the gauge.
+_GAUGE_A = np.repeat([-1.0, 0.0, 1.0], 3)
+_GAUGE_B = np.tile([-1.0, 0.0, 1.0], 3)
 
 
 def dist(p: NilPoint, q: NilPoint) -> float:
-    """Gauge distance on X: min over the lattice window of the symmetrized norm."""
+    """Gauge distance on X: min over the lattice of the symmetrized norm."""
     return float(dist_point(np.array([p.as_tuple()]), q)[0])
 
 
@@ -216,20 +208,36 @@ def reduce_arr(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sym_norm_arr(g: np.ndarray) -> np.ndarray:
-    n = np.abs(g[..., 2] - 0.5 * g[..., 0] * g[..., 1])
-    np.maximum(n, np.abs(g[..., 0]), out=n)
-    np.maximum(n, np.abs(g[..., 1]), out=n)
-    return n
-
-
 def dist_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Pairwise gauge distance between (..., 3) canonical-coordinate arrays."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    qg = mul_arr(q[..., None, :], _LATTICE)          # (..., W, 3)
-    u = mul_arr(p[..., None, :], inv_arr(qg))        # (..., W, 3)
-    return _sym_norm_arr(u).min(axis=-1)
+    """Pairwise gauge distance between (..., 3) canonical-coordinate arrays.
+
+    Each candidate u = p * (q * gamma)^{-1} is evaluated in the float
+    operation order of ``mul_arr``/``inv_arr``, so its norm is bit for bit
+    the one a brute-force scan over the lattice window would give.
+    """
+    p = np.asarray(p, dtype=np.float64)[..., None, :]
+    q = np.asarray(q, dtype=np.float64)[..., None, :]
+    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
+    qx, qy, qz = q[..., 0], q[..., 1], q[..., 2]
+    gx = qx + _GAUGE_A                               # (..., 9)
+    gy = qy + _GAUGE_B
+    qxb = qx * _GAUGE_B
+    gxy = gx * gy
+    pgy = px * (-gy)
+    ux = px + (-gx)
+    uy = py + (-gy)
+    half = 0.5 * ux * uy
+
+    def central(c):
+        # Symmetrized central coordinate of the candidate with lattice c.
+        gz = (qz + c) + qxb
+        return ((pz + (-gz + gxy)) + pgy) - half
+
+    c0 = np.floor(central(0.0))
+    n = np.minimum(np.abs(central(c0)), np.abs(central(c0 + 1.0)))
+    np.maximum(n, np.abs(ux), out=n)
+    np.maximum(n, np.abs(uy), out=n)
+    return n.min(axis=-1)
 
 
 def dist_point(points: np.ndarray, q: NilPoint) -> np.ndarray:

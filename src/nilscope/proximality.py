@@ -16,7 +16,13 @@ A search minimizes, over a deterministic low-discrepancy set of
 perturbations and all time shifts within the budget, the max of the
 defining distances of the relation.  The minimum is an upper bound on
 the true infimum: small values are witnesses, large values are
-empirical floors, never proofs of failure.
+empirical floors, never proofs of failure.  Pairs are visited in order
+of their perturbation cost, and a pair whose time-shift scan cannot beat
+the best value so far is pruned: for RP2 and RPDS only the shifts whose
+single-time cost is already below that value enter the (m, n) grid.
+Pruning never changes the record, because the driver only accepts a
+strict improvement and every tie of an improving minimum lies inside
+the scanned part of the grid.
 
 Determinism: the perturbation offsets are a Halton point set in group
 coordinates scaled to the perturbation radius, shared between the two
@@ -225,16 +231,27 @@ def _pair_order(bx: np.ndarray, by: np.ndarray):
     return ii[order], jj[order], base[order]
 
 
-def _min_grid_2d(f_m: np.ndarray, f_sum: np.ndarray, n_max: int):
+def _min_grid_2d(f_m: np.ndarray, f_sum: np.ndarray, n_max: int, bound=None):
     """Minimize max(f_m[m], f_m[n], f_sum[m+n]) over the (m, n) square.
 
     ``f_m`` covers shifts [-n_max, n_max]; ``f_sum`` covers
-    [-2 n_max, 2 n_max].  Ties resolve by (|m| + |n|, m, n).
+    [-2 n_max, 2 n_max].  Ties resolve by (|m| + |n|, m, n).  With a
+    ``bound``, only shifts with f_m < bound are scanned (every other cell
+    is already >= bound), and None is returned unless the minimum is
+    below the bound.
     """
     span = np.arange(-n_max, n_max + 1)
+    if bound is not None:
+        keep = f_m < bound
+        if not keep.any():
+            return None
+        span = span[keep]
+        f_m = f_m[keep]
     grid = np.maximum(f_m[:, None], f_m[None, :])
     np.maximum(grid, f_sum[(span[:, None] + span[None, :]) + 2 * n_max], out=grid)
     vmin = grid.min()
+    if bound is not None and not vmin < bound:
+        return None
     idx = np.argwhere(grid == vmin)
     ms = span[idx[:, 0]]
     ns = span[idx[:, 1]]
@@ -244,7 +261,12 @@ def _min_grid_2d(f_m: np.ndarray, f_sum: np.ndarray, n_max: int):
 
 
 def _run_search(ops, x, y, budget, seed, relation, pair_objective):
-    """Shared scan driver: perturbation pairs in base-cost order, best-so-far."""
+    """Shared scan driver: perturbation pairs in base-cost order, best-so-far.
+
+    ``pair_objective(i, j, bound)`` returns (inner, m, n), or None when it
+    can tell that inner >= bound (the best eps so far; None for the
+    first pair), since such a pair cannot improve the record.
+    """
     deadline = time.monotonic() + budget.time_cap_ms / 1000.0
     offsets = ops.offsets(budget, seed)
     xp = ops.perturb(x, offsets)
@@ -263,7 +285,10 @@ def _run_search(ops, x, y, budget, seed, relation, pair_objective):
         if best is not None and time.monotonic() > deadline:
             exhausted = False
             break
-        inner, m, n = pair_objective(int(i), int(j))
+        found = pair_objective(int(i), int(j), None if best is None else best[0])
+        if found is None:
+            continue
+        inner, m, n = found
         eps = max(float(b), inner)
         if best is None or eps < best[0]:
             best = (eps, m, n, int(i), int(j))
@@ -298,7 +323,7 @@ def rp_search(
     orbit_cache_x: dict[int, np.ndarray] = {}
     orbit_cache_y: dict[int, np.ndarray] = {}
 
-    def objective(i: int, j: int):
+    def objective(i: int, j: int, bound):
         if i not in orbit_cache_x:
             orbit_cache_x[i] = ops.orbit(xp[i], ns)
         if j not in orbit_cache_y:
@@ -336,11 +361,10 @@ def rp2_search(
             cache[idx] = ops.orbit(coords_arr[idx], span2)
         return cache[idx]
 
-    def objective(i: int, j: int):
+    def objective(i: int, j: int, bound):
         f = ops.dist_rows(orbit(orbit_cache_x, xp, i), orbit(orbit_cache_y, yp, j))
         f_m = f[N : 3 * N + 1]  # restrict to |s| <= n_max
-        vmin, m, n = _min_grid_2d(f_m, f, N)
-        return vmin, m, n
+        return _min_grid_2d(f_m, f, N, bound)
 
     return _run_search(ops, x, y, budget, seed, "RP2", objective)
 
@@ -373,11 +397,10 @@ def rpds_search(
             cache[idx] = ops.dist_to_point(ops.orbit(coords_arr[idx], span2), y)
         return cache[idx]
 
-    def objective(i: int, j: int):
+    def objective(i: int, j: int, bound):
         g = np.maximum(returns(return_cache_x, xp, i), returns(return_cache_y, yp, j))
         g_m = g[N : 3 * N + 1]
-        vmin, m, n = _min_grid_2d(g_m, g, N)
-        return vmin, m, n
+        return _min_grid_2d(g_m, g, N, bound)
 
     return _run_search(ops, x, y, budget, seed, "RPDS", objective)
 

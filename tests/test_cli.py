@@ -175,6 +175,19 @@ class TestCubeCommands:
         x7 = h.NilPoint(*payload["x7"])
         assert h.dist(x7, o.v7) < 1e-6
 
+    def test_pped_complete_truncated_spread(self, tmp_path, oct_fixture, capsys):
+        _, o = oct_fixture
+        rng = np.random.default_rng(7)
+        verts = [h.NilPoint(v.x, v.y, float(rng.random())) for v in o.vertices[:7]]
+        seven = tmp_path / "seven.json"
+        write_points(seven, verts)
+        out = tmp_path / "done.json"
+        code = run(["pped-complete", "--input", str(seven), "--horizon", "20",
+                    "--resid-tol", "1.0", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["spread"] is None
+        assert "spread truncated [ok]" in capsys.readouterr().out
+
     def test_pped_complete_bad_face(self, tmp_path, oct_fixture, capsys):
         path, o = oct_fixture
         verts = list(o.vertices[:7])

@@ -297,6 +297,16 @@ class TestCompletion:
             res = cb.pped_complete(spec, o.vertices[:7], horizon=25)
             assert res.spread <= max(10 * res.residual, 1e-10)
 
+    def test_truncated_spread_is_reported(self, spec, rng):
+        # Random central coordinates keep every face a parallelogram but
+        # leave a residual near 0.2, so more than 4096 witnesses lie within
+        # twice of it: the spread is unknown, not 0.
+        o = cb.sample_pped(spec, random_point(rng), 3, 5, 7)
+        seven = [h.NilPoint(v.x, v.y, float(rng.random())) for v in o.vertices[:7]]
+        res = cb.pped_complete(spec, seven, horizon=20)
+        assert res.residual > 0.1
+        assert res.spread is None
+
     def test_wrong_arity_rejected(self, spec, rng):
         with pytest.raises(ValueError):
             cb.pped_complete(spec, (random_point(rng),) * 6, horizon=5)

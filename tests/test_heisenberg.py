@@ -180,3 +180,58 @@ class TestDist:
             dy = abs(p.y - q.y)
             tor = max(min(dx, 1 - dx), min(dy, 1 - dy))
             assert h.dist(p, q) >= tor - 1e-12
+
+
+def window_gauge(p, q, ab=range(-2, 3), cs=range(-2, 3)):
+    """Brute-force gauge: min of the symmetrized norm over a lattice window.
+
+    Each lattice element goes through ``mul_arr``/``inv_arr``, the float
+    operation order the closed form must reproduce bit for bit.
+    """
+    best = np.full(np.broadcast_shapes(p.shape, q.shape)[:-1], np.inf)
+    for a in ab:
+        for b in ab:
+            for c in cs:
+                u = h.mul_arr(p, h.inv_arr(h.mul_arr(q, np.array([a, b, c], dtype=float))))
+                norm = np.abs(u[..., 2] - 0.5 * u[..., 0] * u[..., 1])
+                np.maximum(norm, np.abs(u[..., 0]), out=norm)
+                np.maximum(norm, np.abs(u[..., 1]), out=norm)
+                np.minimum(best, norm, out=best)
+    return best
+
+
+class TestGaugeOracle:
+    """dist_arr against the brute-force {-2..2}^3 window."""
+
+    def check(self, p, q, wide=True):
+        got = h.dist_arr(p, q)
+        assert np.array_equal(got, window_gauge(p, q))
+        if wide:
+            # No lattice element outside the window does better.
+            assert np.all(window_gauge(p, q, range(-2, 3), range(-8, 9)) >= got)
+
+    def test_random_pairs(self, rng):
+        p = rng.random((100_000, 3))
+        q = rng.random((100_000, 3))
+        self.check(p, q, wide=False)
+        self.check(p[:5_000], q[:5_000])
+
+    def test_corner_pairs(self):
+        vals = np.array([0.0, 1e-12, 0.5, np.nextafter(1.0, 0.0)])
+        grid = np.stack(np.meshgrid(*[vals] * 6, indexing="ij"), axis=-1).reshape(-1, 6)
+        self.check(grid[:, :3], grid[:, 3:])
+
+    def test_near_tie_pairs(self, rng):
+        # Put the symmetrized central coordinate of p * q^{-1} at k + 1/2,
+        # give or take a few ulps, so two values of c nearly tie.
+        q = rng.random((10_000, 3))
+        p = rng.random((10_000, 3))
+        t = q[:, 2] + 0.5 * (p[:, 0] - q[:, 0]) * (p[:, 1] + q[:, 1]) + 0.5
+        t += rng.integers(-4, 5, len(t)) * np.spacing(1.0)
+        p[:, 2] = t - np.floor(t)
+        self.check(p, q)
+
+    def test_broadcast_point(self, rng):
+        p = rng.random((500, 3))
+        q = rng.random(3)
+        assert np.array_equal(h.dist_arr(p, q), window_gauge(p, q))

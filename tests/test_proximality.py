@@ -1,3 +1,6 @@
+import itertools
+import types
+
 import numpy as np
 import pytest
 
@@ -85,7 +88,11 @@ class TestRP:
         b = px.rp_search(spec, x, y, SMALL, seed=1)
         assert a.eps_achieved > 0 and b.eps_achieved > 0
 
-    def test_time_cap_marks_not_exhausted(self, spec):
+    def test_time_cap_marks_not_exhausted(self, spec, monkeypatch):
+        # The clock jumps past any cap after its first reading (the
+        # deadline), so the cap expires right after the first pair.
+        readings = itertools.chain([0.0], itertools.repeat(1e9))
+        monkeypatch.setattr(px, "time", types.SimpleNamespace(monotonic=lambda: next(readings)))
         x, y = fiber_pair(0.5)
         budget = px.SearchBudget(n_max=400, perturb_samples=64, perturb_radius=0.05, time_cap_ms=1)
         record = px.rp_search(spec, x, y, budget)
@@ -172,6 +179,75 @@ class TestRPDS:
         x, y = fiber_pair(0.5)
         record = px.rpds_search(spec, x, y, SMALL)
         assert record.eps_achieved > 0.05
+
+
+def full_scan_record(spec, x, y, budget, relation):
+    """The best record over every perturbation pair, each scanned in full."""
+    ops = px._ops_for(spec)
+    N = budget.n_max
+    span2 = np.arange(-2 * N, 2 * N + 1)
+    offsets = ops.offsets(budget, 0)
+    xp = ops.perturb(x, offsets)
+    yp = ops.perturb(y, offsets)
+    ii, jj, base = px._pair_order(ops.dist_to_point(xp, x), ops.dist_to_point(yp, y))
+    best = None
+    for i, j, b in zip(ii, jj, base):
+        ox = ops.orbit(xp[i], span2)
+        oy = ops.orbit(yp[j], span2)
+        if relation == "RP2":
+            f = ops.dist_rows(ox, oy)
+        else:
+            f = np.maximum(ops.dist_to_point(ox, y), ops.dist_to_point(oy, y))
+        inner, m, n = px._min_grid_2d(f[N : 3 * N + 1], f, N)
+        eps = max(float(b), inner)
+        if best is None or eps < best[0]:
+            best = (eps, m, n, i, j)
+    eps, m, n, i, j = best
+    return px.WitnessRecord(eps, m, n, ops.to_point(xp[i]), ops.to_point(yp[j]), relation, True)
+
+
+class TestPruning:
+    """The bound on the (m, n) grid never changes a search record."""
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "constant"])
+    def test_bounded_grid_matches_full_grid(self, rng, kind):
+        N = 12
+        for _ in range(30):
+            if kind == "random":
+                f = rng.random(4 * N + 1)
+            elif kind == "ties":
+                f = rng.integers(0, 4, 4 * N + 1) / 4.0
+            else:
+                f = np.full(4 * N + 1, rng.random())
+            f_m = f[N : 3 * N + 1]
+            full = px._min_grid_2d(f_m, f, N)
+            bounds = np.concatenate([f, [full[0] - 1e-3, 0.0, 2.0], rng.random(5)])
+            for bound in bounds:
+                got = px._min_grid_2d(f_m, f, N, float(bound))
+                assert got == (full if full[0] < bound else None)
+
+    @pytest.mark.parametrize("search, relation", [(px.rp2_search, "RP2"), (px.rpds_search, "RPDS")])
+    @pytest.mark.parametrize("system", ["heisenberg", "torus"])
+    def test_records_match_unpruned_scan(self, spec, monkeypatch, search, relation, system):
+        if system == "heisenberg":
+            x, y = h.NilPoint(0.1, 0.2, 0.3), h.NilPoint(0.5, 0.2, 0.7)
+        else:
+            spec = sy.SystemSpec(kind="torus_rotation", alpha=sy.DEFAULT_ALPHA, beta=sy.DEFAULT_BETA)
+            x, y = sy.TorusPoint((0.1, 0.6)), sy.TorusPoint((0.5, 0.2))
+        budget = px.SearchBudget(n_max=30, perturb_samples=6, perturb_radius=0.05)
+        pruned = []
+        grid = px._min_grid_2d
+
+        def counting_grid(f_m, f_sum, n_max, bound=None):
+            found = grid(f_m, f_sum, n_max, bound)
+            pruned.append(found is None)
+            return found
+
+        monkeypatch.setattr(px, "_min_grid_2d", counting_grid)
+        record = search(spec, x, y, budget)
+        monkeypatch.setattr(px, "_min_grid_2d", grid)
+        assert record == full_scan_record(spec, x, y, budget, relation)
+        assert any(pruned)
 
 
 class TestWitnessToCube:
