@@ -26,6 +26,7 @@ from the NILSCOPE_WORKERS environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -148,9 +149,7 @@ def _point_from_coords(coords):
 
 
 def _point_to_list(point):
-    if isinstance(point, NilPoint):
-        return list(point.as_tuple())
-    return list(point.coords)
+    return list(point.as_tuple())
 
 
 def _load_points_file(path: str, expected: int):
@@ -168,6 +167,13 @@ def _load_points_file(path: str, expected: int):
     if len(kinds) != 1:
         raise UsageError(f"input: {path}: mixed point dimensions")
     return points
+
+
+def _check_points(spec: SystemSpec, points, field: str) -> None:
+    system = systems.system_for(spec)
+    for p in points:
+        if not isinstance(p, system.point_type) or len(p.as_tuple()) != system.ndim:
+            raise UsageError(f"{field}: a {spec.kind} system needs {system.ndim}-coordinate points")
 
 
 def _load_sequence(path: str) -> nilsequence.SequenceSample:
@@ -395,6 +401,7 @@ def cmd_pped_test(args: argparse.Namespace) -> int:
     res = _Resolver(args, config)
     points = _load_points_file(res.require("input", str), 8)
     spec = _system_from(res)
+    _check_points(spec, points, "input")
     horizon = res.get("horizon", cubes.DEFAULT_HORIZON, int)
     resid_tol = res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
     workers = _workers_from(res)
@@ -425,6 +432,7 @@ def cmd_pped_complete(args: argparse.Namespace) -> int:
     res = _Resolver(args, config)
     points = _load_points_file(res.require("input", str), 7)
     spec = _system_from(res)
+    _check_points(spec, points, "input")
     horizon = res.get("horizon", cubes.DEFAULT_HORIZON, int)
     face_tol = res.get("face_tol", cubes.DEFAULT_FACE_TOL, float)
     resid_tol = res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
@@ -489,10 +497,7 @@ def _load_pair(res: _Resolver, spec: SystemSpec):
         y = _parse_point(y_raw)
     else:
         raise UsageError("x/y: give --x and --y, or --input pair.json")
-    want = NilPoint if spec.kind == "heisenberg" else TorusPoint
-    if not isinstance(x, want) or not isinstance(y, want):
-        ncoords = "3" if want is NilPoint else f"{spec.dims}"
-        raise UsageError(f"x/y: a {spec.kind} system needs {ncoords}-coordinate points")
+    _check_points(spec, (x, y), "x/y")
     return x, y
 
 
@@ -579,7 +584,9 @@ def _add_system(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--dims", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nilscope",
         description="2-step nilsystem structures: cubes, proximality, regularity.",

@@ -27,6 +27,10 @@ scanned with array arithmetic.  Scan order is by shells of
 |m| + |n| + |p| with lexicographic (m, n, p) inside a shell; the search
 early-exits at the first witness below ``resid_tol`` and otherwise
 returns the global argmin (ties broken by shell order).
+
+The module is kind-agnostic: orbits, distances and factor coordinates
+come from the ``systems.System`` of the spec, so the same code serves
+the Heisenberg nilsystem and torus rotations.
 """
 
 from __future__ import annotations
@@ -37,16 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import NilPoint, dist as nil_dist, dist_point
-from .systems import (
-    SystemSpec,
-    TorusPoint,
-    rotation_orbit,
-    rotation_step,
-    torus_dist,
-    translate,
-    translate_arr,
-)
+from .systems import RotationSystem, System, SystemSpec, factor_coords, system_for
 
 __all__ = [
     "Quad",
@@ -166,45 +161,24 @@ class FacePreconditionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _advance(spec: SystemSpec, point, n: int):
-    if spec.kind == "heisenberg":
-        return translate(spec, point, n)
-    return rotation_step(spec, point, n)
+def _orbit_points(spec: SystemSpec, base, shifts: tuple[int, ...]) -> list:
+    system = system_for(spec)
+    return [system.point(row) for row in system.orbit(system.row(base), np.array(shifts))]
 
 
 def sample_pgram(spec: SystemSpec, base, m: int, n: int) -> Quad:
     """The orbit quadruple (x, T^m x, T^n x, T^{m+n} x)."""
-    return Quad(
-        base,
-        _advance(spec, base, m),
-        _advance(spec, base, n),
-        _advance(spec, base, m + n),
-    )
+    return Quad(*_orbit_points(spec, base, (0, m, n, m + n)))
 
 
 def sample_pped(spec: SystemSpec, base, m: int, n: int, p: int) -> Oct:
     """The orbit octuple with shifts b1*m + b2*n + b3*p at vertex (b1, b2, b3)."""
-    shifts = (0, m, n, m + n, p, m + p, n + p, m + n + p)
-    return Oct(*(_advance(spec, base, s) for s in shifts))
+    return Oct(*_orbit_points(spec, base, (0, m, n, m + n, p, m + p, n + p, m + n + p)))
 
 
 # ---------------------------------------------------------------------------
 # Exact parallelogram test
 # ---------------------------------------------------------------------------
-
-
-def _proj(point) -> np.ndarray:
-    """Coordinates of the point's image in the maximal equicontinuous factor."""
-    if isinstance(point, NilPoint):
-        return np.array([point.x, point.y], dtype=np.float64)
-    if isinstance(point, TorusPoint):
-        return np.asarray(point.coords, dtype=np.float64)
-    raise TypeError(f"unsupported point type {type(point).__name__}")
-
-
-def _circle_dist(values: np.ndarray) -> float:
-    frac = values - np.floor(values)
-    return float(np.minimum(frac, 1.0 - frac).max()) if frac.size else 0.0
 
 
 def pgram_residual(q: Quad) -> float:
@@ -213,10 +187,11 @@ def pgram_residual(q: Quad) -> float:
     Zero exactly on parallelograms; for the distal minimal systems here
     a residual below tolerance decides membership.  The combination is
     evaluated as (v0 - v2) - (v1 - v3) so the diagonal and (a, b, a, b)
-    patterns cancel exactly in float arithmetic.
+    patterns cancel exactly in float arithmetic.  The factor of every
+    system here is a rotation, so the distance is the torus sup metric.
     """
-    combo = (_proj(q.v0) - _proj(q.v2)) - (_proj(q.v1) - _proj(q.v3))
-    return _circle_dist(combo)
+    f0, f1, f2, f3 = (factor_coords(v) for v in q.vertices)
+    return float(RotationSystem.dist(f0 - f2, f1 - f3))
 
 
 def is_pgram(q: Quad, tol: float = DEFAULT_PGRAM_TOL) -> bool:
@@ -325,25 +300,18 @@ def euclid_perm_oct(o: Oct, perm_id: int) -> Oct:
 _VERTEX_BITS = {v: ((v >> 0) & 1, (v >> 1) & 1, (v >> 2) & 1) for v in range(8)}
 
 
-def _dist_table(spec: SystemSpec, base, target, smax: int) -> np.ndarray:
-    """D[s + smax] = distance from T^s base to target, |s| <= smax."""
-    ns = np.arange(-smax, smax + 1)
-    if spec.kind == "heisenberg":
-        pts = translate_arr(spec, base, ns)
-        return dist_point(pts, target)
-    orbit = rotation_orbit(spec, base, ns)
-    delta = orbit - np.asarray(target.coords, dtype=np.float64)
-    frac = delta - np.floor(delta)
-    return np.minimum(frac, 1.0 - frac).max(axis=-1)
+def _build_tables(system: System, base, targets: dict[int, object], horizon: int):
+    """Distance tables per vertex, keyed by vertex index; value (offset, D).
 
-
-def _build_tables(spec: SystemSpec, base, targets: dict[int, object], horizon: int):
-    """Distance tables per vertex, keyed by vertex index; value (offset, D)."""
+    D[s + offset] is the distance from T^s base to the vertex's target,
+    |s| <= offset.
+    """
+    base = system.row(base)
     tables = {}
     for v, target in targets.items():
-        weight = sum(_VERTEX_BITS[v])
-        smax = weight * horizon
-        tables[v] = (smax, _dist_table(spec, base, target, smax))
+        smax = sum(_VERTEX_BITS[v]) * horizon
+        orbit = system.orbit(base, np.arange(-smax, smax + 1))
+        tables[v] = (smax, system.dist(orbit, system.row(target)))
     return tables
 
 
@@ -476,11 +444,11 @@ def _grid_scan(tables, horizon: int, resid_tol: float, workers: int = 1):
     return below, argmin
 
 
-def _search(spec, base, targets, horizon, resid_tol, workers):
+def _search(system, base, targets, horizon, resid_tol, workers):
     """Shared search core; returns (residual, (m, n, p), early_exit, tables)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    tables = _build_tables(spec, base, targets, horizon)
+    tables = _build_tables(system, base, targets, horizon)
     cands = _enumerate_below(tables, horizon, resid_tol, _CANDIDATE_CAP)
     if cands:
         best = min(
@@ -512,7 +480,7 @@ def pped_search(
     resid_tol.
     """
     targets = {v: o.vertices[v] for v in range(1, 8)}
-    residual, mnp, early, _ = _search(spec, o.v0, targets, horizon, resid_tol, workers)
+    residual, mnp, early, _ = _search(system_for(spec), o.v0, targets, horizon, resid_tol, workers)
     return PpedWitness(residual, mnp[0], mnp[1], mnp[2], early)
 
 
@@ -553,20 +521,19 @@ def pped_complete(
             raise FacePreconditionError(name, ids, r, face_tol)
 
     targets = {v: seven[v] for v in range(1, 7)}
-    residual, mnp, _, tables = _search(spec, seven[0], targets, horizon, resid_tol, workers)
-    m, n, p = mnp
-    x7 = _advance(spec, seven[0], m + n + p)
+    system = system_for(spec)
+    residual, mnp, _, tables = _search(system, seven[0], targets, horizon, resid_tol, workers)
+    base = system.row(seven[0])
+    x7 = system.orbit(base, sum(mnp))
 
     # Uniqueness diagnostic: completions from all witnesses within twice
     # the best residual; None when they are too many to enumerate.
     threshold = max(2.0 * residual, 1e-12)
     near = _enumerate_below(tables, horizon, threshold, cap=4096)
-    spread = None if near is None else 0.0
-    if near:
-        pdist = nil_dist if spec.kind == "heisenberg" else torus_dist
-        for cand in near:
-            alt = _advance(spec, seven[0], cand[0] + cand[1] + cand[2])
-            spread = max(spread, pdist(x7, alt))
+    spread = None
+    if near is not None:
+        alts = system.orbit(base, np.array([sum(cand) for cand in near], dtype=np.int64))
+        spread = float(system.dist(x7, alts).max(initial=0.0))
 
     status = "ok" if residual < resid_tol else "inconclusive"
-    return CompletionResult(x7, residual, mnp, spread, status)
+    return CompletionResult(system.point(x7), residual, mnp, spread, status)

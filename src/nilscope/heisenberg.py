@@ -29,7 +29,8 @@ anywhere.  Left translation (the dynamics) is deliberately not an isometry
 of this gauge.
 
 Scalar operations work on the frozen dataclasses below; the ``*_arr``
-variants operate on (..., 3) float arrays for the scan engines.
+variants operate on (..., 3) float arrays for the scan engines, and the
+scalar ``reduce`` and ``dist`` are wrappers over them.
 """
 
 from __future__ import annotations
@@ -118,37 +119,15 @@ def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(0.0, 0.0, a.x * b.y - a.y * b.x)
 
 
-def _wrap_unit(v: float) -> float:
-    """Fractional part in [0, 1), guarding the float that rounds to 1.0."""
-    w = v - math.floor(v)
-    if w >= 1.0:
-        # v sits within half an ulp below an integer; keep the half-open
-        # invariant with the closest representable value below 1.
-        return _BELOW_ONE
-    return w
-
-
 def reduce(g: GroupElement) -> NilPoint:
     """Canonical right-coset representative of g modulo the integer lattice.
 
     Right-multiplying by gamma = (a, b, c) sends (x, y, z) to
     (x + a, y + b, z + c + x*b), so a = -floor(x), b = -floor(y) and then
-    c = -floor(z + x*b) land every coordinate in [0, 1).
+    c = -floor(z + x*b) land every coordinate in [0, 1).  A wrapper over
+    ``reduce_arr``.
     """
-    a = -math.floor(g.x)
-    b = -math.floor(g.y)
-    x = g.x + a
-    y = g.y + b
-    z1 = g.z + g.x * b
-    c = -math.floor(z1)
-    z = z1 + c
-    if x >= 1.0:
-        x = _BELOW_ONE
-    if y >= 1.0:
-        y = _BELOW_ONE
-    if z >= 1.0:
-        z = _BELOW_ONE
-    return NilPoint(x, y, z)
+    return NilPoint(*reduce_arr(np.array(g.as_tuple(), dtype=np.float64)).tolist())
 
 
 def sym_norm(g: GroupElement) -> float:
@@ -203,7 +182,6 @@ def reduce_arr(g: np.ndarray) -> np.ndarray:
     out[..., 0] = x0 - np.floor(x0)
     out[..., 1] = y0 + b
     out[..., 2] = z1 - np.floor(z1)
-    # Same half-open guard as the scalar path.
     np.copyto(out, _BELOW_ONE, where=out >= 1.0)
     return out
 

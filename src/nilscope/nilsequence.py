@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .heisenberg import NilPoint, dist_point
-from .systems import SystemSpec, orbit_points_arr, rotation_orbit, TorusPoint
+from .systems import HeisenbergSystem, RotationSystem, SystemSpec, TorusPoint, system_for
 
 __all__ = [
     "ObservableSpec",
@@ -174,8 +174,7 @@ def _eval_arr(obs: ObservableSpec, coords: np.ndarray) -> np.ndarray:
     if obs.kind == "distance_to_base":
         return dist_point(coords, obs.base).astype(np.complex128)
     if obs.kind == "torus_character":
-        phase = obs.k1 * coords[..., 0] + obs.k2 * coords[..., 1]
-        return np.exp(1j * _TWO_PI * phase)
+        return HeisenbergSystem.character(coords, obs.k1, obs.k2)
     return _theta_arr(obs, coords)
 
 
@@ -184,9 +183,7 @@ def eval_observable(obs: ObservableSpec, p) -> complex:
     if isinstance(p, TorusPoint):
         if obs.kind != "torus_character":
             raise ValueError(f"{obs.kind} needs a NilPoint")
-        ks = (obs.k1, obs.k2)[: p.dims]
-        phase = sum(k * c for k, c in zip(ks, p.coords))
-        return complex(np.exp(1j * _TWO_PI * phase))
+        return complex(RotationSystem.character(RotationSystem.row(p), obs.k1, obs.k2))
     coords = np.array([p.as_tuple()], dtype=np.float64)
     return complex(_eval_arr(obs, coords)[0])
 
@@ -227,17 +224,14 @@ def generate(spec: SystemSpec, obs: ObservableSpec, N: int) -> SequenceSample:
     """The sequence u_n = f(T^n e) on the window n in [-N, N]."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    ns = np.arange(-N, N + 1)
-    if spec.kind == "heisenberg":
-        coords = orbit_points_arr(spec, ns)
+    system = system_for(spec)
+    coords = system.orbit(np.zeros(system.ndim), np.arange(-N, N + 1))
+    if obs.kind == "torus_character":
+        values = system.character(coords, obs.k1, obs.k2)
+    elif system.central:
         values = _eval_arr(obs, coords)
     else:
-        if obs.kind != "torus_character":
-            raise ValueError("rotation systems support the torus_character observable")
-        base = TorusPoint((0.0,) * spec.dims)
-        coords = rotation_orbit(spec, base, ns)
-        ks = np.asarray((obs.k1, obs.k2)[: spec.dims], dtype=np.float64)
-        values = np.exp(1j * _TWO_PI * (coords @ ks))
+        raise ValueError("rotation systems support the torus_character observable")
     meta = {
         "generator": "observable",
         "system": spec.kind,

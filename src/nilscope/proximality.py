@@ -32,18 +32,22 @@ time_cap_ms, and best-so-far retention makes eps_achieved nonincreasing
 in those components; enlarging perturb_radius grows the searched region
 but reshapes the finite sample, so monotonicity in the radius holds
 only up to sampling resolution.
+
+The searches are kind-agnostic: perturbations (left translation by the
+offsets), orbits and distances come from the ``systems.System`` of the
+spec, so one driver serves the Heisenberg nilsystem and torus rotations.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cubes import Oct
-from .heisenberg import NilPoint, dist_arr, mul_arr, reduce_arr
-from .systems import SystemSpec, TorusPoint, rotation_orbit, rotation_step, translate, translate_arr
+from .systems import System, SystemSpec, system_for
 
 __all__ = [
     "SearchBudget",
@@ -119,105 +123,24 @@ def _halton_cube(k: int, seed: int, dims: int) -> np.ndarray:
     return np.stack([_halton(idx, p) for p in _HALTON_PRIMES[:dims]], axis=-1)
 
 
-def _circle_rows(delta: np.ndarray) -> np.ndarray:
-    frac = delta - np.floor(delta)
-    return np.minimum(frac, 1.0 - frac).max(axis=-1)
+def _offsets(system: System, budget: SearchBudget, seed: int) -> np.ndarray:
+    """Perturbation offsets: row 0 is zero, the rest fill the radius ball.
+
+    A Halton point set in the cube [-r, r]^ndim, moved onto the distance
+    ball of radius r by ``system.ball``.
+    """
+    cube = _halton_cube(budget.perturb_samples, seed, system.ndim)
+    pts = system.ball((2.0 * cube - 1.0) * budget.perturb_radius)
+    return np.vstack([np.zeros((1, system.ndim)), pts])
 
 
-class _NilOps:
-    """Heisenberg-side geometry for the scan driver."""
-
-    point_type = NilPoint
-
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
-
-    def offsets(self, budget: SearchBudget, seed: int) -> np.ndarray:
-        # Points fill the gauge ball of the perturbation radius: the
-        # cube [-r, r]^3 in (dx, dy, dz') with the central coordinate
-        # polarized as dz = dz' + dx*dy/2, so each offset has
-        # symmetrized norm at most r.
-        cube = _halton_cube(budget.perturb_samples, seed, 3)
-        pts = (2.0 * cube - 1.0) * budget.perturb_radius
-        pts[..., 2] += 0.5 * pts[..., 0] * pts[..., 1]
-        return np.vstack([np.zeros((1, 3)), pts])
-
-    def perturb(self, point: NilPoint, offsets: np.ndarray) -> np.ndarray:
-        base = np.array(point.as_tuple(), dtype=np.float64)
-        return reduce_arr(mul_arr(offsets, base))
-
-    def orbit(self, coords: np.ndarray, ns: np.ndarray) -> np.ndarray:
-        return translate_arr(self.spec, self.to_point(coords), ns)
-
-    def dist_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return dist_arr(a, b)
-
-    def dist_to_point(self, coords: np.ndarray, point: NilPoint) -> np.ndarray:
-        return dist_arr(coords, np.array(point.as_tuple(), dtype=np.float64))
-
-    def to_point(self, row: np.ndarray) -> NilPoint:
-        return NilPoint(*(float(c) for c in row))
-
-    def translate(self, point, n: int):
-        return translate(self.spec, point, n)
-
-    def point_dist(self, p, q) -> float:
-        from .heisenberg import dist
-
-        return dist(p, q)
-
-
-class _TorusOps:
-    """Rotation-side geometry: flat sup metric, isometric dynamics."""
-
-    point_type = TorusPoint
-
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
-        self.dims = spec.dims
-
-    def offsets(self, budget: SearchBudget, seed: int) -> np.ndarray:
-        cube = _halton_cube(budget.perturb_samples, seed, self.dims)
-        pts = (2.0 * cube - 1.0) * budget.perturb_radius
-        return np.vstack([np.zeros((1, self.dims)), pts])
-
-    def perturb(self, point: TorusPoint, offsets: np.ndarray) -> np.ndarray:
-        coords = np.asarray(point.coords, dtype=np.float64) + offsets
-        coords -= np.floor(coords)
-        coords[coords >= 1.0] = 0.0
-        return coords
-
-    def orbit(self, coords: np.ndarray, ns: np.ndarray) -> np.ndarray:
-        return rotation_orbit(self.spec, self.to_point(coords), ns)
-
-    def dist_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _circle_rows(a - b)
-
-    def dist_to_point(self, coords: np.ndarray, point: TorusPoint) -> np.ndarray:
-        return _circle_rows(coords - np.asarray(point.coords, dtype=np.float64))
-
-    def to_point(self, row: np.ndarray) -> TorusPoint:
-        return TorusPoint(tuple(float(c) for c in row))
-
-    def translate(self, point, n: int):
-        return rotation_step(self.spec, point, n)
-
-    def point_dist(self, p, q) -> float:
-        from .systems import torus_dist
-
-        return torus_dist(p, q)
-
-
-def _ops_for(spec: SystemSpec):
-    return _NilOps(spec) if spec.kind == "heisenberg" else _TorusOps(spec)
-
-
-def _check_points(ops, x, y) -> None:
-    for name, p in (("x", x), ("y", y)):
-        if not isinstance(p, ops.point_type):
-            raise ValueError(
-                f"{name} must be a {ops.point_type.__name__} for a {ops.spec.kind} system"
-            )
+def _perturbed(spec: SystemSpec, x, y, budget: SearchBudget, seed: int):
+    """The search's system and the coordinates of the perturbed points x', y'."""
+    system = system_for(spec)
+    offsets = _offsets(system, budget, seed)
+    xp = system.translate(offsets, system.row(x, "x"))
+    yp = system.translate(offsets, system.row(y, "y"))
+    return system, xp, yp
 
 
 def _pair_order(bx: np.ndarray, by: np.ndarray):
@@ -260,19 +183,17 @@ def _min_grid_2d(f_m: np.ndarray, f_sum: np.ndarray, n_max: int, bound=None):
     return float(vmin), int(ms[i]), int(ns[i])
 
 
-def _run_search(ops, x, y, budget, seed, relation, pair_objective):
+def _run_search(system, x, y, xp, yp, budget, relation, pair_objective):
     """Shared scan driver: perturbation pairs in base-cost order, best-so-far.
 
+    ``xp`` and ``yp`` are the perturbed points from ``_perturbed``.
     ``pair_objective(i, j, bound)`` returns (inner, m, n), or None when it
     can tell that inner >= bound (the best eps so far; None for the
     first pair), since such a pair cannot improve the record.
     """
     deadline = time.monotonic() + budget.time_cap_ms / 1000.0
-    offsets = ops.offsets(budget, seed)
-    xp = ops.perturb(x, offsets)
-    yp = ops.perturb(y, offsets)
-    bx = ops.dist_to_point(xp, x)
-    by = ops.dist_to_point(yp, y)
+    bx = system.dist(xp, system.row(x))
+    by = system.dist(yp, system.row(y))
     ii, jj, base = _pair_order(bx, by)
 
     best = None  # (eps, m, n, i, j)
@@ -298,8 +219,8 @@ def _run_search(ops, x, y, budget, seed, relation, pair_objective):
         eps_achieved=eps,
         m=m,
         n=n,
-        x_prime=ops.to_point(xp[i]),
-        y_prime=ops.to_point(yp[j]),
+        x_prime=system.point(xp[i]),
+        y_prime=system.point(yp[j]),
         relation=relation,
         exhausted=exhausted,
     )
@@ -313,29 +234,21 @@ def rp_search(
     seed: int = 0,
 ) -> WitnessRecord:
     """Regional-proximality witness: one common shift n brings x', y' together."""
-    ops = _ops_for(spec)
-    _check_points(ops, x, y)
+    system, xp, yp = _perturbed(spec, x, y, budget, seed)
     N = budget.n_max
     ns = np.arange(-N, N + 1)
-    offsets = ops.offsets(budget, seed)
-    xp = ops.perturb(x, offsets)
-    yp = ops.perturb(y, offsets)
-    orbit_cache_x: dict[int, np.ndarray] = {}
-    orbit_cache_y: dict[int, np.ndarray] = {}
+    orbit_x = functools.cache(lambda i: system.orbit(xp[i], ns))
+    orbit_y = functools.cache(lambda j: system.orbit(yp[j], ns))
 
     def objective(i: int, j: int, bound):
-        if i not in orbit_cache_x:
-            orbit_cache_x[i] = ops.orbit(xp[i], ns)
-        if j not in orbit_cache_y:
-            orbit_cache_y[j] = ops.orbit(yp[j], ns)
-        d = ops.dist_rows(orbit_cache_x[i], orbit_cache_y[j])
+        d = system.dist(orbit_x(i), orbit_y(j))
         vmin = d.min()
         ties = np.flatnonzero(d == vmin)
         shifts = ns[ties]
         k = np.lexsort((shifts, np.abs(shifts)))[0]
         return float(vmin), 0, int(shifts[k])
 
-    return _run_search(ops, x, y, budget, seed, "RP", objective)
+    return _run_search(system, x, y, xp, yp, budget, "RP", objective)
 
 
 def rp2_search(
@@ -346,27 +259,18 @@ def rp2_search(
     seed: int = 0,
 ) -> WitnessRecord:
     """Bi-regional-proximality witness: closeness at times m, n and m+n."""
-    ops = _ops_for(spec)
-    _check_points(ops, x, y)
+    system, xp, yp = _perturbed(spec, x, y, budget, seed)
     N = budget.n_max
     span2 = np.arange(-2 * N, 2 * N + 1)
-    offsets = ops.offsets(budget, seed)
-    xp = ops.perturb(x, offsets)
-    yp = ops.perturb(y, offsets)
-    orbit_cache_x: dict[int, np.ndarray] = {}
-    orbit_cache_y: dict[int, np.ndarray] = {}
-
-    def orbit(cache, coords_arr, idx):
-        if idx not in cache:
-            cache[idx] = ops.orbit(coords_arr[idx], span2)
-        return cache[idx]
+    orbit_x = functools.cache(lambda i: system.orbit(xp[i], span2))
+    orbit_y = functools.cache(lambda j: system.orbit(yp[j], span2))
 
     def objective(i: int, j: int, bound):
-        f = ops.dist_rows(orbit(orbit_cache_x, xp, i), orbit(orbit_cache_y, yp, j))
+        f = system.dist(orbit_x(i), orbit_y(j))
         f_m = f[N : 3 * N + 1]  # restrict to |s| <= n_max
         return _min_grid_2d(f_m, f, N, bound)
 
-    return _run_search(ops, x, y, budget, seed, "RP2", objective)
+    return _run_search(system, x, y, xp, yp, budget, "RP2", objective)
 
 
 def rpds_search(
@@ -382,27 +286,19 @@ def rpds_search(
     at times m, n and m+n, so the per-shift cost is the pointwise max
     of the two return distances.
     """
-    ops = _ops_for(spec)
-    _check_points(ops, x, y)
+    system, xp, yp = _perturbed(spec, x, y, budget, seed)
     N = budget.n_max
     span2 = np.arange(-2 * N, 2 * N + 1)
-    offsets = ops.offsets(budget, seed)
-    xp = ops.perturb(x, offsets)
-    yp = ops.perturb(y, offsets)
-    return_cache_x: dict[int, np.ndarray] = {}
-    return_cache_y: dict[int, np.ndarray] = {}
-
-    def returns(cache, coords_arr, idx):
-        if idx not in cache:
-            cache[idx] = ops.dist_to_point(ops.orbit(coords_arr[idx], span2), y)
-        return cache[idx]
+    y_row = system.row(y)
+    returns_x = functools.cache(lambda i: system.dist(system.orbit(xp[i], span2), y_row))
+    returns_y = functools.cache(lambda j: system.dist(system.orbit(yp[j], span2), y_row))
 
     def objective(i: int, j: int, bound):
-        g = np.maximum(returns(return_cache_x, xp, i), returns(return_cache_y, yp, j))
+        g = np.maximum(returns_x(i), returns_y(j))
         g_m = g[N : 3 * N + 1]
         return _min_grid_2d(g_m, g, N, bound)
 
-    return _run_search(ops, x, y, budget, seed, "RPDS", objective)
+    return _run_search(system, x, y, xp, yp, budget, "RPDS", objective)
 
 
 def witness_to_cube(
@@ -423,24 +319,15 @@ def witness_to_cube(
     """
     if record.relation != "RP2":
         raise ValueError(f"witness_to_cube needs an RP2 record, got {record.relation}")
-    ops = _ops_for(spec)
+    system = system_for(spec)
     xp, yp = record.x_prime, record.y_prime
     x0 = x if x is not None else xp
     y0 = y if y is not None else yp
-    m, n = record.m, record.n
-    a = ops.translate(xp, m)
-    b = ops.translate(xp, n)
-    c = ops.translate(xp, m + n)
+    shifts = np.array([record.m, record.n, record.m + record.n])
+    xs = system.orbit(system.row(xp), shifts)
+    ys = system.orbit(system.row(yp), shifts)
+    a, b, c = (system.point(row) for row in xs)
     oct_ = Oct(x0, y0, a, a, b, b, c, c)
-    certified = (
-        xp,
-        yp,
-        a,
-        ops.translate(yp, m),
-        b,
-        ops.translate(yp, n),
-        c,
-        ops.translate(yp, m + n),
-    )
-    residual = max(ops.point_dist(u, v) for u, v in zip(oct_.vertices, certified))
-    return oct_, float(residual)
+    got = np.array([system.row(v) for v in oct_.vertices])
+    certified = np.array([system.row(xp), system.row(yp), xs[0], ys[0], xs[1], ys[1], xs[2], ys[2]])
+    return oct_, float(system.dist(got, certified).max())

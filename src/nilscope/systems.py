@@ -15,6 +15,21 @@ Powers of the translation have the closed form
 valid for every integer n (it matches inv(t^{-n}) for n < 0), so long
 orbits never accumulate iteration drift.
 
+Each kind of system is one ``System`` object, ``HeisenbergSystem`` or
+``RotationSystem``, built from a ``SystemSpec`` by ``system_for``; this
+is the only place that tells the kinds apart.  Its kernels act on
+coordinate arrays of shape (..., ndim): ``powers(ns)`` gives the group
+elements of T^n, ``translate(g, coords)`` translates on the left by g
+and reduces (so ``orbit(coords, ns)`` is ``translate(powers(ns), coords)``
+and the proximality perturbations are ``translate(offsets, coords)``),
+``dist`` is the gauge or the sup circle distance, ``factor`` gives the
+maximal equicontinuous factor, ``ball`` moves a cube onto the distance
+ball of the same radius, ``character`` evaluates e(k1 x + k2 y) on the
+factor, and ``row``/``point`` convert points.  The scalar functions
+(``step``, ``translate``, ``rotation_step``, ``torus_dist``, ...) are
+thin wrappers over these kernels, so they agree with the array forms bit
+for bit.
+
 Default parameters alpha = sqrt(2)-1, beta = sqrt(3)-1 make 1, alpha,
 beta rationally independent at machine precision, hence a minimal base
 rotation and a minimal nilsystem.
@@ -28,19 +43,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heisenberg import (
-    GroupElement,
-    NilPoint,
-    inv,
-    mul,
-    mul_arr,
-    reduce,
-    reduce_arr,
-)
+from .heisenberg import GroupElement, NilPoint, dist_arr, mul_arr, reduce_arr
 
 __all__ = [
     "SystemSpec",
     "TorusPoint",
+    "System",
+    "HeisenbergSystem",
+    "RotationSystem",
+    "system_for",
+    "factor_coords",
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
     "default_heisenberg",
@@ -61,6 +73,8 @@ DEFAULT_BETA = math.sqrt(3.0) - 1.0
 
 #: Denominator bound for the rational-dependence diagnostic.
 _RATIONAL_DENOM_BOUND = 10**6
+
+_TWO_PI = 2.0 * math.pi
 
 
 def _near_rational(value: float) -> bool:
@@ -91,6 +105,9 @@ class TorusPoint:
     @property
     def dims(self) -> int:
         return len(self.coords)
+
+    def as_tuple(self) -> tuple[float, ...]:
+        return self.coords
 
 
 @dataclass(frozen=True)
@@ -141,104 +158,219 @@ def default_heisenberg(gamma0: float = 0.0) -> SystemSpec:
     return SystemSpec(kind="heisenberg", gamma0=gamma0)
 
 
-def _require(spec: SystemSpec, kind: str) -> None:
+# ---------------------------------------------------------------------------
+# One System per kind
+# ---------------------------------------------------------------------------
+
+
+class System:
+    """The kernels of one system kind on coordinate arrays (see module docs).
+
+    Subclasses provide ``kind``, ``point_type``, ``ndim``, ``central``
+    (whether coordinates end with a central coordinate), ``powers``,
+    ``translate``, ``dist``, ``point`` and ``character``.
+    """
+
+    kind: str
+    point_type: type
+    central: bool
+
+    def __init__(self, spec: SystemSpec):
+        self.spec = spec
+
+    def orbit(self, coords: np.ndarray, ns) -> np.ndarray:
+        """Canonical coordinates of T^n coords for each integer n; shape ns.shape + (ndim,)."""
+        return self.translate(self.powers(ns), coords)
+
+    @classmethod
+    def row(cls, p, name: str = "point") -> np.ndarray:
+        """Coordinates of a point of this kind."""
+        if not isinstance(p, cls.point_type):
+            raise ValueError(f"{name} must be a {cls.point_type.__name__} for a {cls.kind} system")
+        return np.array(p.as_tuple(), dtype=np.float64)
+
+    def advance(self, p, n: int):
+        """T^n p as a point."""
+        return self.point(self.orbit(self.row(p), n))
+
+    @staticmethod
+    def factor(coords: np.ndarray) -> np.ndarray:
+        """Factor coordinates: the abelian coordinates, which come first.
+
+        On X that forgets the central coordinate; a torus point (at most
+        two coordinates) is its own factor.
+        """
+        return coords[..., :2]
+
+    @staticmethod
+    def ball(cube: np.ndarray) -> np.ndarray:
+        """The sup-metric ball is the cube itself."""
+        return cube
+
+
+class HeisenbergSystem(System):
+    """The nilsystem p -> reduce(t * p) on X = G/Gamma."""
+
+    kind = "heisenberg"
+    point_type = NilPoint
+    ndim = 3
+    central = True
+    dist = staticmethod(dist_arr)
+
+    def powers(self, ns) -> np.ndarray:
+        """Closed-form t^n for an array of integers n; shape ns.shape + (3,)."""
+        spec = self.spec
+        ns = np.asarray(ns, dtype=np.float64)
+        out = np.empty(ns.shape + (3,), dtype=np.float64)
+        out[..., 0] = ns * spec.alpha
+        out[..., 1] = ns * spec.beta
+        out[..., 2] = ns * spec.gamma0 + ns * (ns - 1.0) / 2.0 * (spec.alpha * spec.beta)
+        return out
+
+    @staticmethod
+    def translate(g: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        return reduce_arr(mul_arr(g, coords))
+
+    @staticmethod
+    def point(row) -> NilPoint:
+        return NilPoint(*(float(c) for c in row))
+
+    @staticmethod
+    def ball(cube: np.ndarray) -> np.ndarray:
+        # The cube [-r, r]^3 in (dx, dy, dz') with the central coordinate
+        # polarized as dz = dz' + dx*dy/2, so each point has symmetrized
+        # norm at most r.
+        out = cube.copy()
+        out[..., 2] += 0.5 * cube[..., 0] * cube[..., 1]
+        return out
+
+    @staticmethod
+    def character(coords: np.ndarray, k1: int, k2: int) -> np.ndarray:
+        return np.exp(1j * _TWO_PI * (k1 * coords[..., 0] + k2 * coords[..., 1]))
+
+
+class RotationSystem(System):
+    """The rotation p -> p + (alpha, beta, ...) mod 1 on the 1- or 2-torus."""
+
+    kind = "torus_rotation"
+    point_type = TorusPoint
+    central = False
+
+    @property
+    def ndim(self) -> int:
+        return self.spec.dims
+
+    def powers(self, ns) -> np.ndarray:
+        ns = np.asarray(ns, dtype=np.float64)
+        return ns[..., None] * np.asarray(self.spec.rotation_vector, dtype=np.float64)
+
+    @staticmethod
+    def translate(g: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        out = g + coords
+        out -= np.floor(out)
+        out[out >= 1.0] = 0.0
+        return out
+
+    @staticmethod
+    def dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Sup metric on the torus: max over the last axis of the circle distance."""
+        if np.shape(a)[-1] != np.shape(b)[-1]:
+            raise ValueError("torus points of different dimension")
+        delta = a - b
+        frac = delta - np.floor(delta)
+        return np.minimum(frac, 1.0 - frac).max(axis=-1)
+
+    @staticmethod
+    def point(row) -> TorusPoint:
+        return TorusPoint(tuple(float(c) for c in row))
+
+    @staticmethod
+    def character(coords: np.ndarray, k1: int, k2: int) -> np.ndarray:
+        # k . x as a matrix product, which rounds differently from the
+        # Heisenberg k1*x + k2*y; each kind keeps its own order so that
+        # generated sequences stay bit-identical.
+        ks = np.asarray((k1, k2)[: coords.shape[-1]], dtype=np.float64)
+        return np.exp(1j * _TWO_PI * (coords @ ks))
+
+
+_KINDS = {cls.kind: cls for cls in (HeisenbergSystem, RotationSystem)}
+
+
+def system_for(spec: SystemSpec) -> System:
+    """The System object of the spec's kind."""
+    return _KINDS[spec.kind](spec)
+
+
+def factor_coords(point) -> np.ndarray:
+    """Factor coordinates of a point of any kind: the torus point it projects to."""
+    return System.factor(np.array(point.as_tuple(), dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
+# Scalar forms: thin wrappers over the System kernels
+# ---------------------------------------------------------------------------
+
+
+def _require(spec: SystemSpec, kind: str) -> System:
     if spec.kind != kind:
         raise ValueError(f"operation requires a {kind} system, got {spec.kind}")
+    return system_for(spec)
 
 
 def _power(spec: SystemSpec, n: int) -> GroupElement:
     """Closed form t^n; exact for both signs of n."""
-    a, b, c = spec.alpha, spec.beta, spec.gamma0
-    half = n * (n - 1) / 2.0
-    return GroupElement(n * a, n * b, n * c + half * a * b)
+    return GroupElement(*HeisenbergSystem(spec).powers(n).tolist())
 
 
 def step(spec: SystemSpec, p: NilPoint) -> NilPoint:
     """One application of the nilsystem map p -> reduce(t * p)."""
-    _require(spec, "heisenberg")
-    return reduce(mul(spec.translation, p.as_group()))
+    return _require(spec, "heisenberg").advance(p, 1)
 
 
 def translate(spec: SystemSpec, p: NilPoint, n: int) -> NilPoint:
     """T^n applied to p via the closed-form power of t."""
-    _require(spec, "heisenberg")
-    return reduce(mul(_power(spec, n), p.as_group()))
+    return _require(spec, "heisenberg").advance(p, n)
 
 
 def orbit_point(spec: SystemSpec, n: int) -> NilPoint:
     """T^n of the base point (the identity coset)."""
-    _require(spec, "heisenberg")
-    return reduce(_power(spec, n))
-
-
-def _powers_arr(spec: SystemSpec, ns: np.ndarray) -> np.ndarray:
-    ns = np.asarray(ns, dtype=np.float64)
-    out = np.empty(ns.shape + (3,), dtype=np.float64)
-    out[..., 0] = ns * spec.alpha
-    out[..., 1] = ns * spec.beta
-    out[..., 2] = ns * spec.gamma0 + ns * (ns - 1.0) / 2.0 * (spec.alpha * spec.beta)
-    return out
+    return translate(spec, NilPoint(0.0, 0.0, 0.0), n)
 
 
 def translate_arr(spec: SystemSpec, p: NilPoint, ns: np.ndarray) -> np.ndarray:
     """Canonical coordinates of T^n p for an array of integers n; shape (..., 3)."""
-    _require(spec, "heisenberg")
-    base = np.array(p.as_tuple(), dtype=np.float64)
-    return reduce_arr(mul_arr(_powers_arr(spec, ns), base))
+    return _require(spec, "heisenberg").orbit(HeisenbergSystem.row(p), ns)
 
 
 def orbit_points_arr(spec: SystemSpec, ns: np.ndarray) -> np.ndarray:
     """Canonical coordinates of T^n e for an array of integers n."""
-    _require(spec, "heisenberg")
-    return reduce_arr(_powers_arr(spec, ns))
+    return translate_arr(spec, NilPoint(0.0, 0.0, 0.0), ns)
 
 
 def factor_pi(p: NilPoint) -> TorusPoint:
     """Projection to the maximal equicontinuous factor: forget the central coordinate."""
-    return TorusPoint((p.x, p.y))
-
-
-def _wrap01(v: float) -> float:
-    w = v - math.floor(v)
-    return w if w < 1.0 else 0.0
+    return RotationSystem.point(factor_coords(p))
 
 
 def rotation_step(spec: SystemSpec, p: TorusPoint, n: int = 1) -> TorusPoint:
     """n-fold rotation of a torus point by the spec's rotation vector."""
-    _require(spec, "torus_rotation")
-    vec = spec.rotation_vector
-    if len(vec) != p.dims:
-        raise ValueError(f"point has {p.dims} coordinates, rotation has {len(vec)}")
-    return TorusPoint(tuple(_wrap01(c + n * v) for c, v in zip(p.coords, vec)))
+    rot = _require(spec, "torus_rotation")
+    if rot.ndim != p.dims:
+        raise ValueError(f"point has {p.dims} coordinates, rotation has {rot.ndim}")
+    return rot.advance(p, n)
 
 
 def rotation_orbit(spec: SystemSpec, p: TorusPoint, ns: np.ndarray) -> np.ndarray:
     """Rotation orbit coordinates for an array of integers n; shape (len(ns), dims)."""
-    _require(spec, "torus_rotation")
-    vec = np.asarray(spec.rotation_vector, dtype=np.float64)
-    ns = np.asarray(ns, dtype=np.float64)
-    coords = np.asarray(p.coords, dtype=np.float64) + ns[..., None] * vec
-    coords -= np.floor(coords)
-    coords[coords >= 1.0] = 0.0
-    return coords
+    return _require(spec, "torus_rotation").orbit(RotationSystem.row(p), ns)
 
 
 def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
     """Sup metric on the torus: max over components of circle distance."""
-    if p.dims != q.dims:
-        raise ValueError("torus points of different dimension")
-    best = 0.0
-    for a, b in zip(p.coords, q.coords):
-        d = abs(a - b)
-        d = min(d, 1.0 - d)
-        best = max(best, d)
-    return best
+    return float(RotationSystem.dist(RotationSystem.row(p), RotationSystem.row(q)))
 
 
 def point_dist(spec: SystemSpec, p, q) -> float:
     """System-appropriate distance: the nil gauge or the flat torus metric."""
-    from .heisenberg import dist as nil_dist
-
-    if spec.kind == "heisenberg":
-        return nil_dist(p, q)
-    return torus_dist(p, q)
+    s = system_for(spec)
+    return float(s.dist(s.row(p), s.row(q)))

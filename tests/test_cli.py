@@ -202,6 +202,12 @@ class TestCubeCommands:
         assert payload["error"] == "face_precondition"
         assert payload["face"] in ("axis1-low", "axis2-low", "axis3-low")
 
+    def test_points_of_another_kind_are_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "oct.json"
+        write_points(path, [sy.TorusPoint((0.1 * k, 0.5)) for k in range(8)])
+        assert run(["pped-test", "--input", str(path)]) == 2
+        assert "heisenberg system needs 3-coordinate points" in capsys.readouterr().err
+
     def test_wrong_point_count(self, tmp_path, spec, capsys):
         q = cubes.sample_pgram(spec, h.NilPoint(0.1, 0.9, 0.3), 4, 2)
         path = tmp_path / "quad.json"
@@ -229,10 +235,37 @@ class TestProxCommands:
     def test_missing_pair_is_usage_error(self, capsys):
         assert run(["rp2-search", "--x", "0.1,0.2,0.3"]) == 2
 
+    def test_point_dimension_must_match_system(self, capsys):
+        code = run(["rp-search", "--system", "torus-rotation", "--x", "0.1", "--y", "0.2"])
+        assert code == 2
+        assert "needs 2-coordinate points" in capsys.readouterr().err
+
     def test_bad_budget_is_usage_error(self, capsys):
         code = run(["rp-search", "--x", "0.1,0.2,0.3", "--y", "0.4,0.5,0.6",
                     "--n-max", "0"])
         assert code == 2
+
+
+class TestParser:
+    def test_one_parser_serves_failed_and_valid_calls(self, tmp_path, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def spy():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        with pytest.raises(SystemExit) as exc:
+            run(["rp-search", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        out = tmp_path / "rp.json"
+        code = run(["rp-search", "--x", "0.3,0.4,0.5", "--y", "0.3,0.4,0.5",
+                    "--n-max", "20", "--perturb-samples", "4", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["eps_achieved"] < 1e-12
+        assert len(built) == 2 and built[0] is built[1]
 
 
 class TestDeterminism:

@@ -183,27 +183,28 @@ class TestRPDS:
 
 def full_scan_record(spec, x, y, budget, relation):
     """The best record over every perturbation pair, each scanned in full."""
-    ops = px._ops_for(spec)
+    system = sy.system_for(spec)
     N = budget.n_max
     span2 = np.arange(-2 * N, 2 * N + 1)
-    offsets = ops.offsets(budget, 0)
-    xp = ops.perturb(x, offsets)
-    yp = ops.perturb(y, offsets)
-    ii, jj, base = px._pair_order(ops.dist_to_point(xp, x), ops.dist_to_point(yp, y))
+    offsets = px._offsets(system, budget, 0)
+    xrow, yrow = system.row(x), system.row(y)
+    xp = system.translate(offsets, xrow)
+    yp = system.translate(offsets, yrow)
+    ii, jj, base = px._pair_order(system.dist(xp, xrow), system.dist(yp, yrow))
     best = None
     for i, j, b in zip(ii, jj, base):
-        ox = ops.orbit(xp[i], span2)
-        oy = ops.orbit(yp[j], span2)
+        ox = system.orbit(xp[i], span2)
+        oy = system.orbit(yp[j], span2)
         if relation == "RP2":
-            f = ops.dist_rows(ox, oy)
+            f = system.dist(ox, oy)
         else:
-            f = np.maximum(ops.dist_to_point(ox, y), ops.dist_to_point(oy, y))
+            f = np.maximum(system.dist(ox, yrow), system.dist(oy, yrow))
         inner, m, n = px._min_grid_2d(f[N : 3 * N + 1], f, N)
         eps = max(float(b), inner)
         if best is None or eps < best[0]:
             best = (eps, m, n, i, j)
     eps, m, n, i, j = best
-    return px.WitnessRecord(eps, m, n, ops.to_point(xp[i]), ops.to_point(yp[j]), relation, True)
+    return px.WitnessRecord(eps, m, n, system.point(xp[i]), system.point(yp[j]), relation, True)
 
 
 class TestPruning:
@@ -300,13 +301,13 @@ class TestBudgetValidation:
             px.SearchBudget(time_cap_ms=0)
 
     def test_offsets_prefix_nested(self, spec):
-        ops = px._NilOps(spec)
-        o8 = ops.offsets(px.SearchBudget(n_max=10, perturb_samples=8), seed=0)
-        o16 = ops.offsets(px.SearchBudget(n_max=10, perturb_samples=16), seed=0)
+        system = sy.system_for(spec)
+        o8 = px._offsets(system, px.SearchBudget(n_max=10, perturb_samples=8), seed=0)
+        o16 = px._offsets(system, px.SearchBudget(n_max=10, perturb_samples=16), seed=0)
         assert np.array_equal(o16[:8], o8)
 
     def test_offsets_within_gauge_ball(self, spec):
-        ops = px._NilOps(spec)
-        offs = ops.offsets(px.SearchBudget(n_max=10, perturb_samples=64, perturb_radius=0.07), 0)
+        system = sy.system_for(spec)
+        offs = px._offsets(system, px.SearchBudget(n_max=10, perturb_samples=64, perturb_radius=0.07), 0)
         for row in offs:
             assert h.sym_norm(h.GroupElement(*row)) <= 0.07 + 1e-12

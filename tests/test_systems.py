@@ -142,3 +142,68 @@ class TestRotation:
         rot = sy.SystemSpec(kind="torus_rotation", dims=2)
         with pytest.raises(ValueError):
             sy.rotation_step(rot, sy.TorusPoint((0.5,)))
+
+
+KIND_SCALARS = {
+    # kind: (scalar orbit step, its array form, scalar distance)
+    "heisenberg": (sy.translate, sy.translate_arr, h.dist),
+    "torus_rotation": (sy.rotation_step, sy.rotation_orbit, sy.torus_dist),
+}
+
+
+class TestSystemProtocol:
+    """The scalar forms are thin wrappers over one array kernel per kind."""
+
+    @pytest.fixture(params=sorted(KIND_SCALARS))
+    def kind(self, request):
+        return request.param
+
+    @staticmethod
+    def make(kind, rng, k=200):
+        spec = sy.SystemSpec(kind=kind)
+        system = sy.system_for(spec)
+        rows = rng.random((k, system.ndim)) * 0.37
+        return spec, system, rows
+
+    def test_scalar_orbit_is_array_kernel(self, kind, rng):
+        spec, system, rows = self.make(kind, rng)
+        scalar, array, _ = KIND_SCALARS[kind]
+        ns = rng.integers(-600, 601, len(rows))
+        for row, n in zip(rows, ns):
+            p = system.point(row)
+            expected = array(spec, p, np.array([n]))[0]
+            assert np.array_equal(system.row(scalar(spec, p, int(n))), expected)
+            assert np.array_equal(system.orbit(row, n), expected)
+
+    def test_scalar_dist_is_array_kernel(self, kind, rng):
+        spec, system, rows = self.make(kind, rng)
+        _, _, scalar = KIND_SCALARS[kind]
+        other = rng.random(rows.shape)
+        kernel = system.dist(rows, other)
+        for prow, qrow, d in zip(rows, other, kernel):
+            p, q = system.point(prow), system.point(qrow)
+            assert scalar(p, q) == d
+            assert sy.point_dist(spec, p, q) == d
+
+    def test_reduce_is_reduce_arr(self, rng):
+        g = (rng.random((500, 3)) - 0.5) * 20.0 * 0.37
+        reduced = h.reduce_arr(g)
+        for row, r in zip(g, reduced):
+            assert h.reduce(h.GroupElement(*row)).as_tuple() == tuple(r)
+
+    def test_factor_commutes_with_orbit(self, kind, rng):
+        spec, system, rows = self.make(kind, rng, k=50)
+        rot = sy.system_for(sy.SystemSpec(kind="torus_rotation", alpha=spec.alpha, beta=spec.beta))
+        ns = np.arange(-300, 301)
+        for row in rows:
+            lhs = system.factor(system.orbit(row, ns))
+            rhs = rot.orbit(system.factor(row), ns)
+            assert rot.dist(lhs, rhs).max() < 1e-12
+
+    def test_dist_symmetric_and_zero_on_diagonal(self, kind, rng):
+        _, system, rows = self.make(kind, rng, k=10_000)
+        other = rng.random(rows.shape)
+        # Symmetric in exact arithmetic; the two float evaluation orders
+        # differ by a few ulps.
+        assert np.abs(system.dist(rows, other) - system.dist(other, rows)).max() < 1e-15
+        assert system.dist(rows, rows).max() < 1e-15
