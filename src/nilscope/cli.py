@@ -19,8 +19,11 @@ written reports contain no timing fields, so identical configurations
 produce byte-identical outputs regardless of worker count.
 
 A config file (``--config``, ``key = value`` lines, ``#`` comments)
-supplies defaults; explicit flags win.  The default worker count comes
-from the NILSCOPE_WORKERS environment variable.
+supplies defaults; explicit flags win.  ``--workers`` (default
+$NILSCOPE_WORKERS, else 1) parallelises only the full-grid scan of
+pped-test and pped-complete, and only at horizon 64 and above, where it
+has more than one block; every other command accepts the flag but runs
+single-threaded.
 """
 
 from __future__ import annotations
@@ -306,7 +309,7 @@ def cmd_regtest(args: argparse.Namespace) -> int:
         raise UsageError("order: must be 1 or 2")
     eps = res.require("eps", float)
     shift_max = res.get("shift_max", 10, int)
-    workers = _workers_from(res)
+    _workers_from(res)  # validated, but the regularity scan is single-threaded
     k_min = res.get("k_min", None, int)
     k_max = res.get("k_max", None, int)
     k_range = None
@@ -328,7 +331,7 @@ def cmd_regtest(args: argparse.Namespace) -> int:
             M_grid = _grid_list(res.get("m_grid", "5,10,25", str), int)
             delta_grid = _grid_list(res.get("delta_grid", "0.02,0.05,0.1", str), float)
             cal = regularity.calibrate(
-                u, eps, M_grid, delta_grid, shift_max, order=order, k_range=k_range, workers=workers
+                u, eps, M_grid, delta_grid, shift_max, order=order, k_range=k_range
             )
             report = cal.report
             payload.update(
@@ -344,7 +347,7 @@ def cmd_regtest(args: argparse.Namespace) -> int:
             params = regularity.RegularityParams(
                 order=order, eps=eps, delta=delta, M=M, shift_max=shift_max, k_range=k_range
             )
-            report = regularity.run_test(u, params, workers)
+            report = regularity.run_test(u, params)
             payload.update({"M": M, "delta": delta})
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -5,7 +5,8 @@ configurations (x, T^m x, T^n x, T^{m+n} x); the parallelepiped set is
 the closure in X^8 of (x, T^m x, T^n x, T^{m+n} x, T^p x, T^{m+p} x,
 T^{n+p} x, T^{m+n+p} x).  Vertex v of an octuple carries the shift
 b1*m + b2*n + b3*p where (b1, b2, b3) are the bits of v (bit 0 <-> m,
-bit 1 <-> n, bit 2 <-> p).
+bit 1 <-> n, bit 2 <-> p).  ``vertex_shifts`` is this indexing for any
+number of axes; the witness search and the regularity scans share it.
 
 Membership tests are asymmetric by design:
 
@@ -26,7 +27,9 @@ of seven table lookups D_v[shift_v], so the whole horizon cube can be
 scanned with array arithmetic.  Scan order is by shells of
 |m| + |n| + |p| with lexicographic (m, n, p) inside a shell; the search
 early-exits at the first witness below ``resid_tol`` and otherwise
-returns the global argmin (ties broken by shell order).
+returns the global argmin (ties broken by shell order).  The full grid
+is scanned in blocks of about 2**21 cells, on ``workers`` threads when
+there are several blocks, that is at horizon 64 and above.
 
 The module is kind-agnostic: orbits, distances and factor coordinates
 come from the ``systems.System`` of the spec, so the same code serves
@@ -53,6 +56,7 @@ __all__ = [
     "DEFAULT_RESID_TOL",
     "DEFAULT_FACE_TOL",
     "DEFAULT_PGRAM_TOL",
+    "vertex_shifts",
     "sample_pgram",
     "sample_pped",
     "pgram_residual",
@@ -161,19 +165,31 @@ class FacePreconditionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _orbit_points(spec: SystemSpec, base, shifts: tuple[int, ...]) -> list:
+def vertex_shifts(ns) -> list:
+    """The shift at each vertex of {0,1}^k, in vertex order: bit j stands for ns[j].
+
+    (m, n) gives [0, m, n, m+n]; (m, n, p) gives [0, m, n, m+n, p, m+p,
+    n+p, m+n+p].  The entries may be ints or broadcastable arrays.
+    """
+    out = [0]
+    for n in ns:
+        out += [s + n for s in out]
+    return out
+
+
+def _orbit_points(spec: SystemSpec, base, shifts: list[int]) -> list:
     system = system_for(spec)
     return [system.point(row) for row in system.orbit(system.row(base), np.array(shifts))]
 
 
 def sample_pgram(spec: SystemSpec, base, m: int, n: int) -> Quad:
     """The orbit quadruple (x, T^m x, T^n x, T^{m+n} x)."""
-    return Quad(*_orbit_points(spec, base, (0, m, n, m + n)))
+    return Quad(*_orbit_points(spec, base, vertex_shifts((m, n))))
 
 
 def sample_pped(spec: SystemSpec, base, m: int, n: int, p: int) -> Oct:
     """The orbit octuple with shifts b1*m + b2*n + b3*p at vertex (b1, b2, b3)."""
-    return Oct(*_orbit_points(spec, base, (0, m, n, m + n, p, m + p, n + p, m + n + p)))
+    return Oct(*_orbit_points(spec, base, vertex_shifts((m, n, p))))
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +313,6 @@ def euclid_perm_oct(o: Oct, perm_id: int) -> Oct:
 # Parallelepiped witness search
 # ---------------------------------------------------------------------------
 
-_VERTEX_BITS = {v: ((v >> 0) & 1, (v >> 1) & 1, (v >> 2) & 1) for v in range(8)}
-
-
 def _build_tables(system: System, base, targets: dict[int, object], horizon: int):
     """Distance tables per vertex, keyed by vertex index; value (offset, D).
 
@@ -309,20 +322,17 @@ def _build_tables(system: System, base, targets: dict[int, object], horizon: int
     base = system.row(base)
     tables = {}
     for v, target in targets.items():
-        smax = sum(_VERTEX_BITS[v]) * horizon
+        smax = vertex_shifts((horizon,) * 3)[v]
         orbit = system.orbit(base, np.arange(-smax, smax + 1))
         tables[v] = (smax, system.dist(orbit, system.row(target)))
     return tables
 
 
 def _objective(tables, m: int, n: int, p: int) -> float:
+    shifts = vertex_shifts((m, n, p))
     worst = 0.0
     for v, (off, D) in tables.items():
-        b1, b2, b3 = _VERTEX_BITS[v]
-        s = b1 * m + b2 * n + b3 * p
-        d = D[s + off]
-        if d > worst:
-            worst = d
+        worst = max(worst, D[shifts[v] + off])
     return worst
 
 
@@ -334,42 +344,34 @@ def _enumerate_below(tables, horizon: int, threshold: float, cap: int):
     """All (m, n, p) with every table lookup below threshold, or None if over cap.
 
     Sound and complete for 'objective < threshold' because the
-    objective is the max of the lookups.
+    objective is the max of the lookups.  Tuples grow one axis at a
+    time, in lexicographic order: axis j keeps a prefix's extensions
+    whose new vertices (those with bit j set) are all below threshold.
     """
-    offs = {v: tables[v][0] for v in tables}
-    Ds = {v: tables[v][1] for v in tables}
     span = np.arange(-horizon, horizon + 1)
 
-    def axis_cands(v):
-        if v not in tables:
-            return span
+    def below(v, shift):
         off, D = tables[v]
-        return span[D[span + off] < threshold]
+        return D[shift + off] < threshold
 
-    m_cands = axis_cands(1)
-    n_cands = axis_cands(2)
-    p_cands = axis_cands(4)
-    if len(m_cands) * len(n_cands) > 4 * cap:
+    axes = [(span[below(1 << j, span)] if 1 << j in tables else span).tolist() for j in range(3)]
+    if len(axes[0]) * len(axes[1]) > 4 * cap:
         return None
-    out = []
-    for m in m_cands:
-        m = int(m)
-        for n in n_cands:
-            n = int(n)
-            if 3 in tables and Ds[3][m + n + offs[3]] >= threshold:
-                continue
-            for p in p_cands:
-                p = int(p)
-                if 5 in tables and Ds[5][m + p + offs[5]] >= threshold:
-                    continue
-                if 6 in tables and Ds[6][n + p + offs[6]] >= threshold:
-                    continue
-                if 7 in tables and Ds[7][m + n + p + offs[7]] >= threshold:
-                    continue
-                out.append((m, n, p))
-                if len(out) > cap:
-                    return None
-    return out
+    level = [()]
+    for j, axis in enumerate(axes):
+        bit = 1 << j
+        new = [w for w in range(1, bit) if bit | w in tables]
+        last = j == len(axes) - 1
+        out = []
+        for prefix in level:
+            shifts = vertex_shifts(prefix)
+            for a in axis:
+                if all(below(bit | w, a + shifts[w]) for w in new):
+                    out.append((*prefix, a))
+                    if last and len(out) > cap:
+                        return None
+        level = out
+    return level
 
 
 def _grid_scan(tables, horizon: int, resid_tol: float, workers: int = 1):
@@ -384,27 +386,12 @@ def _grid_scan(tables, horizon: int, resid_tol: float, workers: int = 1):
     nspan = len(span)
     mn_chunk = max(1, _GRID_CHUNK // max(nspan * nspan, 1))
 
-    def lookup(v, shift_grid):
-        off, D = tables[v]
-        return D[shift_grid + off]
-
     def scan_block(p_block: np.ndarray):
         obj = np.zeros((nspan, nspan, len(p_block)))
-        if 1 in tables:
-            np.maximum(obj, lookup(1, span)[:, None, None], out=obj)
-        if 2 in tables:
-            np.maximum(obj, lookup(2, span)[None, :, None], out=obj)
-        if 3 in tables:
-            np.maximum(obj, lookup(3, span[:, None] + span[None, :])[:, :, None], out=obj)
-        if 4 in tables:
-            np.maximum(obj, lookup(4, p_block)[None, None, :], out=obj)
-        if 5 in tables:
-            np.maximum(obj, lookup(5, span[:, None] + p_block[None, :])[:, None, :], out=obj)
-        if 6 in tables:
-            np.maximum(obj, lookup(6, span[:, None] + p_block[None, :])[None, :, :], out=obj)
-        if 7 in tables:
-            mn = span[:, None] + span[None, :]
-            np.maximum(obj, lookup(7, mn[:, :, None] + p_block[None, None, :]), out=obj)
+        # Each vertex's shift grid spans only the axes of its bits.
+        shifts = vertex_shifts((span[:, None, None], span[None, :, None], p_block[None, None, :]))
+        for v, (off, D) in tables.items():
+            np.maximum(obj, D[shifts[v] + off], out=obj)
 
         def pick(mask):
             idx = np.argwhere(mask)
@@ -451,17 +438,12 @@ def _search(system, base, targets, horizon, resid_tol, workers):
     tables = _build_tables(system, base, targets, horizon)
     cands = _enumerate_below(tables, horizon, resid_tol, _CANDIDATE_CAP)
     if cands:
-        best = min(
-            ((_objective(tables, *mnp), _order_key(*mnp), mnp) for mnp in cands),
-            key=lambda t: t[1],
-        )
-        return float(best[0]), best[2], True, tables
-    if cands is None:
-        below, argmin = _grid_scan(tables, horizon, resid_tol, workers)
-        if below is not None:
-            return float(below[0]), below[2], True, tables
-        return float(argmin[0]), argmin[2], False, tables
-    _, argmin = _grid_scan(tables, horizon, resid_tol, workers)
+        mnp = min(cands, key=lambda c: _order_key(*c))
+        return float(_objective(tables, *mnp)), mnp, True, tables
+    # No candidates means no grid cell below resid_tol either.
+    below, argmin = _grid_scan(tables, horizon, resid_tol, workers)
+    if below is not None:
+        return float(below[0]), below[2], True, tables
     return float(argmin[0]), argmin[2], False, tables
 
 

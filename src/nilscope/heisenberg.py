@@ -21,12 +21,14 @@ candidates: a, b in {-1, 0, 1} (a or b = +-2 already gives a coordinate
 of norm at least 1, while gamma = (0, 0, c) always gives less), and for
 each (a, b) the two integers c next to the symmetrized central coordinate
 at c = 0, since c only shifts that coordinate.  The symmetrized central
-coordinate makes ||g|| = ||g^{-1}|| exact, so the gauge is symmetric.  It
-separates points, is continuous, and is compatible with the quotient
-topology, which is all the regional-proximality machinery needs.  It is
-*not* a geodesic metric and the triangle inequality is not relied upon
-anywhere.  Left translation (the dynamics) is deliberately not an isometry
-of this gauge.
+coordinate makes ||g|| = ||g^{-1}||, so in exact arithmetic the gauge is
+symmetric and 0 on the diagonal.  In float64 both hold to a few ulps: on
+10^5 random pairs d(p, q) and d(q, p) differ for about a third, by up to
+about 7e-16, and d(p, p) reaches about 6e-17.  It separates points, is
+continuous, and is compatible with the quotient topology, which is all
+the regional-proximality machinery needs.  It is *not* a geodesic metric
+and the triangle inequality is not relied upon anywhere.  Left
+translation (the dynamics) is deliberately not an isometry of this gauge.
 
 Scalar operations work on the frozen dataclasses below; the ``*_arr``
 variants operate on (..., 3) float arrays for the scan engines, and the

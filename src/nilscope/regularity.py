@@ -16,24 +16,29 @@ vacuous passes are visible.
 Engine: for each shift s the hypothesis condition defines a boolean
 mask over k, computed in one pass: a difference array, a prefix count
 of its entries >= delta, and a window-difference of that count (a
-window passes when it holds no such entry).  Masks are memoized per
+window passes when it holds no such entry).  Masks are built once per
 shift value, packed into byte arrays, and combined per shift tuple with
 bitwise ANDs, so the per-tuple work is a handful of vectorized byte
-operations instead of a loop over k and i.  The order-2 scan forms the
-(m, n) hypothesis rows for all n at once and visits only the nonempty
-ones; violations are extracted one packed row at a time.
-``naive_test`` is the independent oracle: the same semantics as literal
-nested loops.
+operations instead of a loop over k and i.
+
+An order-d shift tuple sits on the cube {0,1}^(d+1) as a parallelepiped
+does (``cubes.vertex_shifts``): hypotheses at every vertex but 0 and the
+all-ones one, the conclusion at the all-ones one.  One recursive scan
+serves every order; it runs in one thread, as threads made every
+measured scan slower.  Violations are extracted one packed row at a
+time.  ``naive_test`` is the independent oracle: the same semantics as
+literal nested loops.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cubes import vertex_shifts
 from .nilsequence import SequenceSample
 
 __all__ = [
@@ -84,9 +89,7 @@ class RegularityParams:
     def margin(self) -> int:
         """Distance from the window edge needed so every access is in range."""
         s = self.shift_max
-        if self.order == 1:
-            return max(self.M + s, 2 * s)
-        return max(self.M + 2 * s, 3 * s)
+        return max(self.M + self.order * s, (self.order + 1) * s)
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,12 @@ class Violation:
 
     def as_tuple(self):
         return (self.k, self.m, self.n, self.p, self.gap)
+
+    @classmethod
+    def at(cls, k: int, ns: tuple, gap: float) -> "Violation":
+        """The violation at base index k of the shift tuple ns (order + 1 shifts)."""
+        m, n, p = (*ns, None)[:3]
+        return cls(k, m, n, p, gap)
 
 
 @dataclass
@@ -191,123 +200,102 @@ class _Engine:
         self.params = params
         self.lo, self.hi = _effective_k_range(u, params)
         self.nbits = self.hi - self.lo + 1
-        self._mask_cache: dict[int, np.ndarray] = {}
-        vals = u.values
-        base = self.lo - u.n_min
-        self._window_vals = vals
-        self._base_slice = vals[base : base + self.nbits]
-        self._base_offset = base
+        self._base_offset = self.lo - u.n_min
 
     def packed_mask(self, s: int) -> np.ndarray:
-        if s not in self._mask_cache:
-            full = shift_mask(self.u, s, self.params.delta, self.params.M)
-            rel = full[self._base_offset : self._base_offset + self.nbits]
-            self._mask_cache[s] = np.packbits(rel)
-        return self._mask_cache[s]
+        full = shift_mask(self.u, s, self.params.delta, self.params.M)
+        return np.packbits(full[self._base_offset : self._base_offset + self.nbits])
 
     def packed_viol(self, q: int) -> np.ndarray:
-        shifted = self._window_vals[
-            self._base_offset + q : self._base_offset + q + self.nbits
-        ]
-        bad = np.abs(shifted - self._base_slice) >= self.params.eps
+        vals, b = self.u.values, self._base_offset
+        bad = np.abs(vals[b + q : b + q + self.nbits] - vals[b : b + self.nbits]) >= self.params.eps
         return np.packbits(bad)
 
-    def row_violations(self, packed: np.ndarray, m: int, n: int, p: int | None) -> list[Violation]:
-        """Violations at the set bits of one packed row of base indices."""
+    def row_violations(self, packed: np.ndarray, ns: tuple) -> list[Violation]:
+        """Violations of the shift tuple ns at the set bits of one packed row of base indices."""
         idx = np.flatnonzero(np.unpackbits(packed, count=self.nbits))
         i = self._base_offset + idx
-        d = self._window_vals[i + m + n + (p or 0)] - self._window_vals[i]
+        d = self.u.values[i + sum(ns)] - self.u.values[i]
         # hypot, not np.abs: it matches the scalar abs of naive_test bit for bit.
         gaps = np.hypot(d.real, d.imag) - self.params.eps
-        return [Violation(k, m, n, p, g) for k, g in zip((self.lo + idx).tolist(), gaps.tolist())]
+        return [Violation.at(k, ns, g) for k, g in zip((self.lo + idx).tolist(), gaps.tolist())]
 
 
-def _scan_order2_block(eng: _Engine, m_values, S: int):
-    PM = np.vstack([eng.packed_mask(s) for s in range(-2 * S, 2 * S + 1)])
-    VQ = np.vstack([eng.packed_viol(q) for q in range(-3 * S, 3 * S + 1)])
-    off2, off3 = 2 * S, 3 * S
-    n_rows = PM[S : 3 * S + 1]  # masks for n (and p) in [-S, S]
+def _scan(eng: _Engine, S: int, d: int):
+    """Order-d scan of every shift tuple in [-S, S]^(d+1); returns (violations, hypothesis count).
+
+    The first d shifts are fixed one nonempty row at a time, in
+    lexicographic order; the last, t, is a block of 2S+1 packed rows.
+    ``row`` holds the hypotheses at the nonzero vertices of the fixed
+    shifts, ``block`` row t those at t plus each of their vertex shifts
+    (the lower subcube).  Fixing one more shift a extends ``block`` with
+    the vertices a + s, but for the all-ones one: that is the conclusion.
+    """
+    PM = np.vstack([eng.packed_mask(s) for s in range(-d * S, d * S + 1)])
+    VQ = np.vstack([eng.packed_viol(q) for q in range(-(d + 1) * S, (d + 1) * S + 1)])
+
+    def rows(table, s):
+        """Rows t in [-S, S] of a table indexed by shift, at shifts s + t."""
+        mid = len(table) // 2 + s
+        return table[mid - S : mid + S + 1]
+
     violations: list[Violation] = []
-    hyp_total = 0
-    scanned = 0
-    for m in m_values:
-        scanned += (2 * S + 1) ** 2
-        # Row t of Bm: the hypotheses at shifts t and m + t, for t = n or p.
-        Bm = n_rows & PM[m + off2 - S : m + off2 + S + 1]
-        A = Bm & PM[m + off2]  # row n: shifts m, n and m + n
-        for n_idx in np.flatnonzero(A.any(axis=1)):
-            n = int(n_idx) - S
-            block = Bm & PM[n + off2 - S : n + off2 + S + 1]
-            block &= A[n_idx]
-            hyp_total += int(np.bitwise_count(block).sum())
-            viol = block & VQ[m + n + off3 - S : m + n + off3 + S + 1]
-            for p_idx in np.flatnonzero(viol.any(axis=1)):
-                violations += eng.row_violations(viol[p_idx], m, n, int(p_idx) - S)
-    return violations, hyp_total, scanned
+    hyp = 0
+
+    def visit(ns: tuple, row, block):
+        nonlocal hyp
+        cand = block & row
+        if len(ns) == d:
+            hyp += int(np.bitwise_count(cand).sum())
+            viol = cand & rows(VQ, sum(ns))
+            for t_idx in np.flatnonzero(viol.any(axis=1)):
+                violations.extend(eng.row_violations(viol[t_idx], (*ns, int(t_idx) - S)))
+            return
+        shifts = vertex_shifts(ns)
+        if len(ns) + 1 == d:
+            shifts = shifts[:-1]  # a + sum(ns) + t is the conclusion
+        for a_idx in np.flatnonzero(cand.any(axis=1)):
+            a = int(a_idx) - S
+            ext = block
+            for s in shifts:
+                ext = ext & rows(PM, a + s)
+            visit((*ns, a), cand[a_idx], ext)
+
+    # No coordinate fixed yet: no hypothesis on the row.
+    visit((), np.uint8(0xFF), rows(PM, 0))
+    return violations, hyp
 
 
-def _scan_order1_block(eng: _Engine, m_values, S: int):
-    PM = np.vstack([eng.packed_mask(s) for s in range(-S, S + 1)])
-    VQ = np.vstack([eng.packed_viol(q) for q in range(-2 * S, 2 * S + 1)])
-    off1, off2 = S, 2 * S
-    violations: list[Violation] = []
-    hyp_total = 0
-    scanned = 0
-    for m in m_values:
-        scanned += 2 * S + 1
-        block = PM & PM[m + off1][None, :]
-        hyp_total += int(np.bitwise_count(block).sum())
-        viol = block & VQ[m + off2 - S : m + off2 + S + 1]
-        for n_idx in np.flatnonzero(viol.any(axis=1)):
-            violations += eng.row_violations(viol[n_idx], m, int(n_idx) - S, None)
-    return violations, hyp_total, scanned
+def test_order2(u: SequenceSample, params: RegularityParams) -> RegularityReport:
+    """Order-2 regularity scan with the packed-mask engine."""
+    if params.order != 2:
+        raise ValueError("params.order must be 2")
+    return run_test(u, params)
 
 
-def _run_engine(u: SequenceSample, params: RegularityParams, workers: int = 1) -> RegularityReport:
+def test_order1(u: SequenceSample, params: RegularityParams) -> RegularityReport:
+    """Order-1 (almost periodicity) regularity scan with the packed-mask engine."""
+    if params.order != 1:
+        raise ValueError("params.order must be 1")
+    return run_test(u, params)
+
+
+def run_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
+    """Regularity scan of order params.order with the packed-mask engine."""
     t0 = time.monotonic()
     eng = _Engine(u, params)
-    S = params.shift_max
-    scan = _scan_order2_block if params.order == 2 else _scan_order1_block
-    all_m = list(range(-S, S + 1))
-    if workers > 1 and len(all_m) > 1:
-        chunks = [all_m[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ms: scan(eng, ms, S), chunks))
-    else:
-        parts = [scan(eng, all_m, S)]
-    violations = [v for part in parts for v in part[0]]
-    violations.sort(key=lambda v: (v.m, v.n, v.p if v.p is not None else 0, v.k))
-    hyp = sum(part[1] for part in parts)
-    scanned = sum(part[2] for part in parts)
+    S, d = params.shift_max, params.order
+    violations, hyp = _scan(eng, S, d)
     elapsed = int((time.monotonic() - t0) * 1000)
     return RegularityReport(
         violations=violations,
         hypothesis_count=hyp,
-        scanned=scanned,
+        scanned=(2 * S + 1) ** (d + 1),
         elapsed_ms=elapsed,
         vacuous=(hyp == 0),
         k_lo=eng.lo,
         k_hi=eng.hi,
     )
-
-
-def test_order2(u: SequenceSample, params: RegularityParams, workers: int = 1) -> RegularityReport:
-    """Order-2 regularity scan with the packed-mask engine."""
-    if params.order != 2:
-        raise ValueError("params.order must be 2")
-    return _run_engine(u, params, workers)
-
-
-def test_order1(u: SequenceSample, params: RegularityParams, workers: int = 1) -> RegularityReport:
-    """Order-1 (almost periodicity) regularity scan with the packed-mask engine."""
-    if params.order != 1:
-        raise ValueError("params.order must be 1")
-    return _run_engine(u, params, workers)
-
-
-def run_test(u: SequenceSample, params: RegularityParams, workers: int = 1) -> RegularityReport:
-    """Dispatch on params.order."""
-    return test_order2(u, params, workers) if params.order == 2 else test_order1(u, params, workers)
 
 
 def naive_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
@@ -330,31 +318,15 @@ def naive_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
     violations: list[Violation] = []
     hyp = 0
     scanned = 0
-    span = range(-S, S + 1)
-    if params.order == 2:
-        for m in span:
-            for n in span:
-                for p in span:
-                    scanned += 1
-                    shifts = (m, n, m + n, p, m + p, n + p)
-                    q = m + n + p
-                    for k in range(lo, hi + 1):
-                        if all(cond(k, s) for s in shifts):
-                            hyp += 1
-                            gap = abs(vals[k + q - n0] - vals[k - n0]) - eps
-                            if gap >= 0:
-                                violations.append(Violation(k, m, n, p, float(gap)))
-    else:
-        for m in span:
-            for n in span:
-                scanned += 1
-                q = m + n
-                for k in range(lo, hi + 1):
-                    if cond(k, m) and cond(k, n):
-                        hyp += 1
-                        gap = abs(vals[k + q - n0] - vals[k - n0]) - eps
-                        if gap >= 0:
-                            violations.append(Violation(k, m, n, None, float(gap)))
+    for ns in itertools.product(range(-S, S + 1), repeat=params.order + 1):
+        scanned += 1
+        shifts = vertex_shifts(ns)
+        for k in range(lo, hi + 1):
+            if all(cond(k, s) for s in shifts[1:-1]):
+                hyp += 1
+                gap = abs(vals[k + shifts[-1] - n0] - vals[k - n0]) - eps
+                if gap >= 0:
+                    violations.append(Violation.at(k, ns, float(gap)))
     elapsed = int((time.monotonic() - t0) * 1000)
     return RegularityReport(
         violations=violations,
@@ -385,7 +357,6 @@ def calibrate(
     shift_max: int,
     order: int = 2,
     k_range: tuple[int, int] | None = None,
-    workers: int = 1,
 ) -> CalibrationResult:
     """Search the (M, delta) grid for witnesses of the regularity property.
 
@@ -404,7 +375,7 @@ def calibrate(
             params = RegularityParams(
                 order=order, eps=eps, delta=delta, M=M, shift_max=shift_max, k_range=k_range
             )
-            report = run_test(u, params, workers)
+            report = run_test(u, params)
             nviol = len(report.violations)
             entries.append(
                 {

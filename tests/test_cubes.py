@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,24 @@ class TestSampling:
         assert cb.face(o, 1, 0).vertices == cb.sample_pgram(spec, x, m, n).vertices
         assert cb.face(o, 2, 0).vertices == cb.sample_pgram(spec, x, m, p).vertices
         assert cb.face(o, 3, 0).vertices == cb.sample_pgram(spec, x, n, p).vertices
+
+
+class TestVertexShifts:
+    def test_square(self):
+        assert cb.vertex_shifts((3, -5)) == [0, 3, -5, -2]
+
+    def test_cube_is_sampling_order(self):
+        m, n, p = 7, -3, 11
+        assert cb.vertex_shifts((m, n, p)) == [0, m, n, m + n, p, m + p, n + p, m + n + p]
+
+    def test_broadcast_arrays(self):
+        a = np.arange(3)[:, None]
+        b = np.array([10, 20])[None, :]
+        shifts = cb.vertex_shifts((a, b))
+        assert shifts[0] == 0
+        np.testing.assert_array_equal(shifts[1], a)
+        np.testing.assert_array_equal(shifts[2], b)
+        np.testing.assert_array_equal(shifts[3], [[10, 20], [11, 21], [12, 22]])
 
 
 class TestPgramResidual:
@@ -205,9 +225,12 @@ class TestPpedResidual:
         o = cb.sample_pped(spec, base, 9, -4, 17)
         bad = h.NilPoint(o.v7.x, o.v7.y, (o.v7.z + 0.3) % 1.0)
         target = cb.Oct(*o.vertices[:7], bad)
-        w1 = cb.pped_search(spec, target, horizon=25, workers=1)
-        w4 = cb.pped_search(spec, target, horizon=25, workers=4)
-        assert w1 == w4
+        # At horizon 25 the full grid is one block; at 70 it is two, so
+        # workers=4 runs the threaded block merge.
+        for horizon in (25, 70):
+            w1 = cb.pped_search(spec, target, horizon=horizon, workers=1)
+            w4 = cb.pped_search(spec, target, horizon=horizon, workers=4)
+            assert w1 == w4
 
     def test_sampled_transitivity(self, spec, rng):
         # Gluing two sampled parallelepipeds along a common face stays
@@ -226,6 +249,79 @@ class TestPpedResidual:
             # 10x contract from sampled inputs, with a tiny absolute floor
             # guarding the all-machine-epsilon regime.
             assert r_uw < max(10 * max(r_uv, r_vw), 5e-13)
+
+
+class TestSearchPaths:
+    """The candidate and grid paths of the witness search against a brute force."""
+
+    H = 6
+
+    @pytest.fixture(params=["member", "displaced"])
+    def octuple(self, request, spec):
+        o = cb.sample_pped(spec, h.NilPoint(0.21, 0.34, 0.55), 2, -3, 4)
+        if request.param == "member":
+            return o
+        # Central offsets on v6 and v7, so both target sets see one.
+        v6, v7 = (h.NilPoint(v.x, v.y, (v.z + dz) % 1.0) for v, dz in ((o.v6, 0.3), (o.v7, 0.4)))
+        return cb.Oct(*o.vertices[:6], v6, v7)
+
+    @pytest.fixture(params=[7, 6], ids=["pped_search", "pped_complete"])
+    def tables(self, request, spec, octuple):
+        targets = {v: octuple.vertices[v] for v in range(1, request.param + 1)}
+        return cb._build_tables(sy.system_for(spec), octuple.v0, targets, self.H)
+
+    def lookups(self, tables):
+        """Every (m, n, p) in lexicographic order with its table lookups."""
+        out = {}
+        for m, n, p in itertools.product(range(-self.H, self.H + 1), repeat=3):
+            shifts = {1: m, 2: n, 3: m + n, 4: p, 5: m + p, 6: n + p, 7: m + n + p}
+            out[(m, n, p)] = [D[shifts[v] + off] for v, (off, D) in tables.items()]
+        return out
+
+    def thresholds(self, lookups):
+        objective = np.array([max(ls) for ls in lookups.values()])
+        return [1e-3, *np.quantile(objective, [0.01, 0.2])]
+
+    def test_enumerate_below(self, tables):
+        lookups = self.lookups(tables)
+        for threshold in self.thresholds(lookups):
+            want = [mnp for mnp, ls in lookups.items() if max(ls) < threshold]
+            axis = [
+                sum(1 for s in range(-self.H, self.H + 1)
+                    if v not in tables or tables[v][1][s + tables[v][0]] < threshold)
+                for v in (1, 2)
+            ]
+            for cap in (len(want) - 1, len(want), 10**6):
+                if cap < 0:
+                    continue
+                got = cb._enumerate_below(tables, self.H, threshold, cap)
+                if len(want) > cap or axis[0] * axis[1] > 4 * cap:
+                    assert got is None
+                else:
+                    assert got == want
+
+    def test_grid_scan(self, tables, monkeypatch):
+        # Rounded tables make many objective ties for the tie-break.
+        rounded = {v: (off, np.round(D, 1)) for v, (off, D) in tables.items()}
+        for tabs in (tables, rounded):
+            lookups = self.lookups(tabs)
+            objective = {mnp: max(ls) for mnp, ls in lookups.items()}
+            for tol in self.thresholds(lookups):
+                below = min(
+                    ((float(obj), cb._order_key(*mnp), mnp)
+                     for mnp, obj in objective.items() if obj < tol),
+                    key=lambda t: t[1],
+                    default=None,
+                )
+                argmin = min(
+                    ((float(obj), cb._order_key(*mnp), mnp) for mnp, obj in objective.items()),
+                    key=lambda t: (t[0], t[1]),
+                )
+                assert cb._grid_scan(tabs, self.H, tol) == (below, argmin)
+                # Blocks of three p values, merged across two workers.
+                with monkeypatch.context() as mp:
+                    mp.setattr(cb, "_GRID_CHUNK", 3 * (2 * self.H + 1) ** 2)
+                    assert cb._grid_scan(tabs, self.H, tol, workers=2) == (below, argmin)
 
 
 class TestRotationCrossCheck:

@@ -77,6 +77,14 @@ class TestParams:
         with pytest.raises(ValueError):
             rg.RegularityParams(order=1, eps=0.1, delta=0.1, M=1, shift_max=2, k_range=(5, 1))
 
+    def test_margin_pinned(self):
+        for M in (0, 1, 3, 7, 20):
+            for S in (1, 2, 5, 9):
+                p1 = rg.RegularityParams(order=1, eps=0.1, delta=0.1, M=M, shift_max=S)
+                p2 = rg.RegularityParams(order=2, eps=0.1, delta=0.1, M=M, shift_max=S)
+                assert p1.margin == max(M + S, 2 * S)
+                assert p2.margin == max(M + 2 * S, 3 * S)
+
     def test_window_too_small_rejected(self):
         u = sample(np.ones(11))
         params = rg.RegularityParams(order=2, eps=0.1, delta=0.1, M=2, shift_max=4)
@@ -275,13 +283,6 @@ class TestInvariants:
         params = rg.RegularityParams(order=2, eps=1e-9, delta=2.5, M=0, shift_max=2)
         report = rg.test_order2(u, params)
         assert all((v.m, v.n, v.p) != (0, 0, 0) for v in report.violations)
-
-    def test_workers_invariance(self, rng):
-        u = random_sample(rng, 80)
-        params = rg.RegularityParams(order=2, eps=0.3, delta=1.0, M=1, shift_max=4)
-        r1 = rg.test_order2(u, params, workers=1)
-        r4 = rg.test_order2(u, params, workers=4)
-        assert r1.to_dict(include_timing=False) == r4.to_dict(include_timing=False)
 
 
 class TestCalibrate:
