@@ -19,11 +19,9 @@ written reports contain no timing fields, so identical configurations
 produce byte-identical outputs regardless of worker count.
 
 A config file (``--config``, ``key = value`` lines, ``#`` comments)
-supplies defaults; explicit flags win.  ``--workers`` (default
-$NILSCOPE_WORKERS, else 1) parallelises only the full-grid scan of
-pped-test and pped-complete, and only at horizon 64 and above, where it
-has more than one block; every other command accepts the flag but runs
-single-threaded.
+supplies defaults; explicit flags win.  Every command runs
+single-threaded: ``--workers`` (default $NILSCOPE_WORKERS, else 1) is
+validated on every subcommand but otherwise ignored.
 """
 
 from __future__ import annotations
@@ -205,6 +203,7 @@ def _system_from(res: _Resolver) -> SystemSpec:
 
 
 def _workers_from(res: _Resolver) -> int:
+    """The validated worker count; no command uses it, as all run single-threaded."""
     env = os.environ.get("NILSCOPE_WORKERS")
     default = int(env) if env and env.isdigit() else 1
     workers = res.get("workers", default, int)
@@ -309,7 +308,7 @@ def cmd_regtest(args: argparse.Namespace) -> int:
         raise UsageError("order: must be 1 or 2")
     eps = res.require("eps", float)
     shift_max = res.get("shift_max", 10, int)
-    _workers_from(res)  # validated, but the regularity scan is single-threaded
+    _workers_from(res)
     k_min = res.get("k_min", None, int)
     k_max = res.get("k_max", None, int)
     k_range = None
@@ -407,10 +406,10 @@ def cmd_pped_test(args: argparse.Namespace) -> int:
     _check_points(spec, points, "input")
     horizon = res.get("horizon", cubes.DEFAULT_HORIZON, int)
     resid_tol = res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
-    workers = _workers_from(res)
+    _workers_from(res)
     if horizon < 1:
         raise UsageError("horizon: must be >= 1")
-    witness = cubes.pped_search(spec, cubes.Oct(*points), horizon, resid_tol, workers)
+    witness = cubes.pped_search(spec, cubes.Oct(*points), horizon, resid_tol)
     below = witness.residual < resid_tol
     payload = {
         "command": "pped-test",
@@ -439,11 +438,11 @@ def cmd_pped_complete(args: argparse.Namespace) -> int:
     horizon = res.get("horizon", cubes.DEFAULT_HORIZON, int)
     face_tol = res.get("face_tol", cubes.DEFAULT_FACE_TOL, float)
     resid_tol = res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
-    workers = _workers_from(res)
+    _workers_from(res)
     if horizon < 1:
         raise UsageError("horizon: must be >= 1")
     try:
-        result = cubes.pped_complete(spec, points, horizon, face_tol, resid_tol, workers)
+        result = cubes.pped_complete(spec, points, horizon, face_tol, resid_tol)
     except cubes.FacePreconditionError as exc:
         payload = {
             "command": "pped-complete",
@@ -509,6 +508,7 @@ def _cmd_prox(args: argparse.Namespace, which: str) -> int:
     res = _Resolver(args, config)
     spec = _system_from(res)
     x, y = _load_pair(res, spec)
+    _workers_from(res)
     try:
         budget = proximality.SearchBudget(
             n_max=res.get("n_max", proximality.DEFAULT_BUDGET.n_max, int),
@@ -576,7 +576,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key = value config file; flags win")
     sp.add_argument("--json", action="store_true", help="print the JSON payload to stdout")
     sp.add_argument("--out", help="write the JSON payload to this path (atomically)")
-    sp.add_argument("--workers", type=int, help="scan workers (default $NILSCOPE_WORKERS or 1)")
+    sp.add_argument("--workers", type=int, help="ignored, must be >= 1: every command is single-threaded")
 
 
 def _add_system(sp: argparse.ArgumentParser) -> None:

@@ -23,13 +23,18 @@ Membership tests are asymmetric by design:
 
 The witness search exploits that each vertex of a sampled octuple
 depends only on its total shift: the objective for (m, n, p) is a max
-of seven table lookups D_v[shift_v], so the whole horizon cube can be
-scanned with array arithmetic.  Scan order is by shells of
-|m| + |n| + |p| with lexicographic (m, n, p) inside a shell; the search
-early-exits at the first witness below ``resid_tol`` and otherwise
-returns the global argmin (ties broken by shell order).  The full grid
-is scanned in blocks of about 2**21 cells, on ``workers`` threads when
-there are several blocks, that is at horizon 64 and above.
+of seven table lookups D_v[shift_v], so the horizon cube can be scanned
+with array arithmetic.  Scan order is by shells of |m| + |n| + |p| with
+lexicographic (m, n, p) inside a shell; the search early-exits at the
+first witness below ``resid_tol`` and otherwise returns the global
+argmin (ties broken by shell order).  One minimiser, ``_cube_min``,
+serves both and is exact while pruning: a cell's objective is at least
+each of its single-axis lookups D_1[m], D_2[n], D_4[p], so an axis
+value whose lookup is at or above the bound cannot lie under any cell
+below it.  The early exit takes resid_tol as the bound; the argmin
+takes the best objective over each axis's 12 smallest lookups, which
+keeps every cell tied at the minimum.  The kept sub-grid is scanned in
+sequential blocks of about 2**21 cells, on one thread.
 
 The module is kind-agnostic: orbits, distances and factor coordinates
 come from the ``systems.System`` of the spec, so the same code serves
@@ -39,7 +44,7 @@ the Heisenberg nilsystem and torus rotations.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +82,7 @@ DEFAULT_RESID_TOL = 1e-3
 DEFAULT_FACE_TOL = 1e-6
 DEFAULT_PGRAM_TOL = 1e-9
 
-#: Cap on explicitly enumerated witness candidates before falling back to
-#: the full grid scan.
-_CANDIDATE_CAP = 100_000
-_GRID_CHUNK = 1 << 21  # target entries per grid chunk
+_GRID_CHUNK = 1 << 21  # target cells per scan block
 
 
 @dataclass(frozen=True)
@@ -328,16 +330,9 @@ def _build_tables(system: System, base, targets: dict[int, object], horizon: int
     return tables
 
 
-def _objective(tables, m: int, n: int, p: int) -> float:
-    shifts = vertex_shifts((m, n, p))
-    worst = 0.0
-    for v, (off, D) in tables.items():
-        worst = max(worst, D[shifts[v] + off])
-    return worst
-
-
-def _order_key(m: int, n: int, p: int) -> tuple[int, int, int, int]:
-    return (abs(m) + abs(n) + abs(p), m, n, p)
+def _order_key(*ns: int) -> tuple[int, ...]:
+    """Scan order of a cell: shell sum |n_j|, then lexicographic."""
+    return (sum(abs(n) for n in ns), *ns)
 
 
 def _enumerate_below(tables, horizon: int, threshold: float, cap: int):
@@ -374,77 +369,73 @@ def _enumerate_below(tables, horizon: int, threshold: float, cap: int):
     return level
 
 
-def _grid_scan(tables, horizon: int, resid_tol: float, workers: int = 1):
-    """Exhaustive scan; returns (below_tol_hit, global_argmin).
+def _cube_min(tables, axes, bound: float = np.inf, first: bool = False):
+    """Best cell of the grid axes[0] x ... x axes[k-1] with objective below bound.
 
-    Each item is (objective, order_key, (m, n, p)) or None.  The merge
-    across chunks minimizes the order key for below-tolerance hits and
-    (objective, order key) for the argmin, so the outcome matches the
-    sequential shell-order scan regardless of chunking or worker count.
+    The objective of a cell ns is max_v D_v[vertex_shifts(ns)[v] + off_v]
+    over the tables {v: (off_v, D_v)}.  Returns (objective, ns) for the
+    minimum, ties broken by ``_order_key``, or with ``first`` for the
+    first cell in that order; None when no cell is below bound.
+
+    Exact pruning: an axis value whose own single-bit lookup is >= bound
+    bounds every cell through it from below, so it is dropped before the
+    scan.  The kept sub-grid is scanned in blocks of about _GRID_CHUNK
+    cells along the first axis; each vertex gathers its lookups only over
+    the axes of its bits.
     """
-    span = np.arange(-horizon, horizon + 1)
-    nspan = len(span)
-    mn_chunk = max(1, _GRID_CHUNK // max(nspan * nspan, 1))
-
-    def scan_block(p_block: np.ndarray):
-        obj = np.zeros((nspan, nspan, len(p_block)))
-        # Each vertex's shift grid spans only the axes of its bits.
-        shifts = vertex_shifts((span[:, None, None], span[None, :, None], p_block[None, None, :]))
+    kept = []
+    for j, axis in enumerate(axes):
+        if 1 << j in tables:
+            off, D = tables[1 << j]
+            axis = axis[D[axis + off] < bound]
+        kept.append(axis)
+    if not all(len(a) for a in kept):
+        return None
+    k = len(kept)
+    rows = max(1, _GRID_CHUNK // math.prod(len(a) for a in kept[1:]))
+    best, best_key = None, None
+    for i in range(0, len(kept[0]), rows):
+        block = [kept[0][i : i + rows], *kept[1:]]
+        grids = [a.reshape((1,) * j + (-1,) + (1,) * (k - 1 - j)) for j, a in enumerate(block)]
+        shifts = vertex_shifts(grids)
+        obj = np.zeros(tuple(len(a) for a in block))
         for v, (off, D) in tables.items():
             np.maximum(obj, D[shifts[v] + off], out=obj)
-
-        def pick(mask):
-            idx = np.argwhere(mask)
-            if idx.size == 0:
-                return None
-            ms = span[idx[:, 0]]
-            ns = span[idx[:, 1]]
-            ps = p_block[idx[:, 2]]
-            shell = np.abs(ms) + np.abs(ns) + np.abs(ps)
-            i = np.lexsort((ps, ns, ms, shell))[0]
-            mnp = (int(ms[i]), int(ns[i]), int(ps[i]))
-            val = float(obj[idx[i, 0], idx[i, 1], idx[i, 2]])
-            return (val, _order_key(*mnp), mnp)
-
-        below = pick(obj < resid_tol)
         vmin = obj.min()
-        argmin = pick(obj == vmin)
-        return below, argmin
-
-    blocks = [span[i : i + mn_chunk] for i in range(0, nspan, mn_chunk)]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan_block, blocks))
-    else:
-        results = [scan_block(b) for b in blocks]
-
-    below = min(
-        (r[0] for r in results if r[0] is not None),
-        key=lambda t: t[1],
-        default=None,
-    )
-    argmin = min(
-        (r[1] for r in results if r[1] is not None),
-        key=lambda t: (t[0], t[1]),
-        default=None,
-    )
-    return below, argmin
+        if not vmin < bound:
+            continue
+        idx = np.flatnonzero(obj < bound if first else obj == vmin)
+        ns = [a[c] for a, c in zip(block, np.unravel_index(idx, obj.shape))]
+        at = np.lexsort((*ns[::-1], sum(np.abs(n) for n in ns)))[0]
+        cell = tuple(int(n[at]) for n in ns)
+        val = float(obj.ravel()[idx[at]])
+        key = _order_key(*cell) if first else (val, _order_key(*cell))
+        if best is None or key < best_key:
+            best, best_key = (val, cell), key
+    return best
 
 
-def _search(system, base, targets, horizon, resid_tol, workers):
-    """Shared search core; returns (residual, (m, n, p), early_exit, tables)."""
+def _search(system, base, targets, horizon, resid_tol):
+    """Shared search core; returns (residual, (m, n, p), early_exit, tables).
+
+    The first cell below resid_tol in shell order is an early exit.
+    Otherwise the argmin is scanned below the next float above U, the
+    best objective over each axis's 12 smallest single-axis lookups: U
+    is at least the minimum, and every cell tied at the minimum stays.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     tables = _build_tables(system, base, targets, horizon)
-    cands = _enumerate_below(tables, horizon, resid_tol, _CANDIDATE_CAP)
-    if cands:
-        mnp = min(cands, key=lambda c: _order_key(*c))
-        return float(_objective(tables, *mnp)), mnp, True, tables
-    # No candidates means no grid cell below resid_tol either.
-    below, argmin = _grid_scan(tables, horizon, resid_tol, workers)
-    if below is not None:
-        return float(below[0]), below[2], True, tables
-    return float(argmin[0]), argmin[2], False, tables
+    span = np.arange(-horizon, horizon + 1)
+    hit = _cube_min(tables, [span] * 3, resid_tol, first=True)
+    if hit is not None:
+        return *hit, True, tables
+    seed = []
+    for j in range(3):
+        off, D = tables[1 << j]
+        seed.append(span[np.argsort(D[span + off])[:12]])
+    U = _cube_min(tables, seed)[0]
+    return *_cube_min(tables, [span] * 3, np.nextafter(U, np.inf)), False, tables
 
 
 def pped_search(
@@ -452,7 +443,6 @@ def pped_search(
     o: Oct,
     horizon: int = DEFAULT_HORIZON,
     resid_tol: float = DEFAULT_RESID_TOL,
-    workers: int = 1,
 ) -> PpedWitness:
     """Witness search for parallelepiped proximity of an octuple.
 
@@ -462,7 +452,7 @@ def pped_search(
     resid_tol.
     """
     targets = {v: o.vertices[v] for v in range(1, 8)}
-    residual, mnp, early, _ = _search(system_for(spec), o.v0, targets, horizon, resid_tol, workers)
+    residual, mnp, early, _ = _search(system_for(spec), o.v0, targets, horizon, resid_tol)
     return PpedWitness(residual, mnp[0], mnp[1], mnp[2], early)
 
 
@@ -471,10 +461,9 @@ def pped_residual(
     o: Oct,
     horizon: int = DEFAULT_HORIZON,
     resid_tol: float = DEFAULT_RESID_TOL,
-    workers: int = 1,
 ) -> float:
     """Approximate parallelepiped membership score (one-sided; see module docs)."""
-    return pped_search(spec, o, horizon, resid_tol, workers).residual
+    return pped_search(spec, o, horizon, resid_tol).residual
 
 
 def pped_complete(
@@ -483,7 +472,6 @@ def pped_complete(
     horizon: int = DEFAULT_HORIZON,
     face_tol: float = DEFAULT_FACE_TOL,
     resid_tol: float = DEFAULT_RESID_TOL,
-    workers: int = 1,
 ) -> CompletionResult:
     """Complete seven vertices to a parallelepiped.
 
@@ -504,7 +492,7 @@ def pped_complete(
 
     targets = {v: seven[v] for v in range(1, 7)}
     system = system_for(spec)
-    residual, mnp, _, tables = _search(system, seven[0], targets, horizon, resid_tol, workers)
+    residual, mnp, _, tables = _search(system, seven[0], targets, horizon, resid_tol)
     base = system.row(seven[0])
     x7 = system.orbit(base, sum(mnp))
 

@@ -245,6 +245,12 @@ class TestProxCommands:
                     "--n-max", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["rp-search", "rp2-search", "rpds-search"])
+    def test_zero_workers_is_usage_error(self, command, capsys):
+        code = run([command, "--x", "0.3,0.4,0.2", "--y", "0.3,0.4,0.7", "--workers", "0"])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+
 
 class TestParser:
     def test_one_parser_serves_failed_and_valid_calls(self, tmp_path, monkeypatch, capsys):

@@ -220,18 +220,6 @@ class TestPpedResidual:
         with pytest.raises(ValueError):
             cb.pped_search(spec, o, horizon=0)
 
-    def test_workers_agree(self, spec, rng):
-        base = random_point(rng)
-        o = cb.sample_pped(spec, base, 9, -4, 17)
-        bad = h.NilPoint(o.v7.x, o.v7.y, (o.v7.z + 0.3) % 1.0)
-        target = cb.Oct(*o.vertices[:7], bad)
-        # At horizon 25 the full grid is one block; at 70 it is two, so
-        # workers=4 runs the threaded block merge.
-        for horizon in (25, 70):
-            w1 = cb.pped_search(spec, target, horizon=horizon, workers=1)
-            w4 = cb.pped_search(spec, target, horizon=horizon, workers=4)
-            assert w1 == w4
-
     def test_sampled_transitivity(self, spec, rng):
         # Gluing two sampled parallelepipeds along a common face stays
         # witness-checkable at the doubled horizon.
@@ -303,25 +291,78 @@ class TestSearchPaths:
     def test_grid_scan(self, tables, monkeypatch):
         # Rounded tables make many objective ties for the tie-break.
         rounded = {v: (off, np.round(D, 1)) for v, (off, D) in tables.items()}
+        axes = [np.arange(-self.H, self.H + 1)] * 3
         for tabs in (tables, rounded):
             lookups = self.lookups(tabs)
             objective = {mnp: max(ls) for mnp, ls in lookups.items()}
+            argmin = min(
+                ((float(obj), mnp) for mnp, obj in objective.items()),
+                key=lambda t: (t[0], cb._order_key(*t[1])),
+            )
+            assert cb._cube_min(tabs, axes) == argmin
             for tol in self.thresholds(lookups):
                 below = min(
-                    ((float(obj), cb._order_key(*mnp), mnp)
-                     for mnp, obj in objective.items() if obj < tol),
-                    key=lambda t: t[1],
+                    ((float(obj), mnp) for mnp, obj in objective.items() if obj < tol),
+                    key=lambda t: cb._order_key(*t[1]),
                     default=None,
                 )
-                argmin = min(
-                    ((float(obj), cb._order_key(*mnp), mnp) for mnp, obj in objective.items()),
-                    key=lambda t: (t[0], t[1]),
-                )
-                assert cb._grid_scan(tabs, self.H, tol) == (below, argmin)
-                # Blocks of three p values, merged across two workers.
+                want = (below, argmin if argmin[0] < tol else None)
+                assert (cb._cube_min(tabs, axes, tol, True), cb._cube_min(tabs, axes, tol)) == want
+                # Blocks of three m values.
                 with monkeypatch.context() as mp:
                     mp.setattr(cb, "_GRID_CHUNK", 3 * (2 * self.H + 1) ** 2)
-                    assert cb._grid_scan(tabs, self.H, tol, workers=2) == (below, argmin)
+                    got = cb._cube_min(tabs, axes, tol, True), cb._cube_min(tabs, axes, tol)
+                    assert got == want
+
+
+class TestPrunedSearchOracle:
+    """The pruned witness search against a full-grid brute force."""
+
+    SPECS = [
+        sy.default_heisenberg(),
+        sy.SystemSpec(kind="torus_rotation"),
+        sy.SystemSpec(kind="torus_rotation", alpha=0.001, beta=0.0013),
+    ]
+
+    @staticmethod
+    def brute_force(tables, H, resid_tol):
+        m, n, p = np.meshgrid(*[np.arange(-H, H + 1)] * 3, indexing="ij")
+        shifts = {1: m, 2: n, 3: m + n, 4: p, 5: m + p, 6: n + p, 7: m + n + p}
+        obj = np.zeros(m.shape)
+        for v, (off, D) in tables.items():
+            obj = np.maximum(obj, D[shifts[v] + off])
+        obj, m, n, p = (a.ravel() for a in (obj, m, n, p))
+        order = np.lexsort((p, n, m, np.abs(m) + np.abs(n) + np.abs(p)))
+        below = order[obj[order] < resid_tol]
+        i = below[0] if below.size else order[np.argmin(obj[order])]
+        return float(obj[i]), (int(m[i]), int(n[i]), int(p[i])), bool(below.size)
+
+    def octuple(self, spec, rng, H):
+        system = sy.system_for(spec)
+        base = system.point(rng.random(3 if spec.kind == "heisenberg" else spec.dims))
+        mnp = (int(v) for v in rng.integers(-H, H + 1, 3))
+        rows = [system.row(v) for v in cb.sample_pped(spec, base, *mnp).vertices]
+        for v in rng.choice(np.arange(1, 8), rng.integers(0, 4), replace=False):
+            rows[v] = (rows[v] + rng.normal(0, 0.2, rows[v].shape)) % 1.0
+        if rng.random() < 0.3:
+            rows = [np.round(r, 1) % 1.0 for r in rows]
+        return cb.Oct(*(system.point(r) for r in rows))
+
+    def test_matches_full_grid(self, rng):
+        for spec in self.SPECS:
+            system = sy.system_for(spec)
+            for H in (15, 30):
+                for resid_tol in (1e-3, 0.05, 0.05):
+                    o = self.octuple(spec, rng, H)
+                    for last in (7, 6):
+                        targets = {v: o.vertices[v] for v in range(1, last + 1)}
+                        residual, mnp, early, tables = cb._search(
+                            system, o.v0, targets, H, resid_tol)
+                        assert (residual, mnp, early) == self.brute_force(tables, H, resid_tol)
+                        if last == 7:
+                            w = cb.pped_search(spec, o, H, resid_tol)
+                            got = w.residual, (w.m, w.n, w.p), w.early_exit
+                            assert got == (residual, mnp, early)
 
 
 class TestRotationCrossCheck:
