@@ -97,9 +97,9 @@ def _load_config(path: str | None) -> dict:
 class _Resolver:
     """Flag -> config -> default resolution with typed conversion."""
 
-    def __init__(self, args: argparse.Namespace, config: dict):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config = config
+        self.config = _load_config(args.config)
 
     def get(self, name: str, default, cast):
         value = getattr(self.args, name, None)
@@ -139,7 +139,10 @@ def _parse_point(raw: str):
 
 
 def _point_from_coords(coords):
-    coords = tuple(float(c) for c in coords)
+    try:
+        coords = tuple(float(c) for c in coords)
+    except (TypeError, ValueError):
+        raise UsageError(f"point {coords!r}: want a list of reals") from None
     if any(not (0.0 <= c < 1.0) for c in coords):
         raise UsageError(f"point {coords}: coordinates must lie in [0, 1)")
     if len(coords) == 3:
@@ -228,8 +231,7 @@ def _emit(payload: dict, res: _Resolver, summary: str) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    res = _Resolver(args, config)
+    res = _Resolver(args)
     observable = res.require("observable", str).replace("-", "_")
     N = res.get("n", 1000, int)
     if N < 1:
@@ -300,8 +302,7 @@ def _grid_list(raw, cast):
 
 
 def cmd_regtest(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    res = _Resolver(args, config)
+    res = _Resolver(args)
     u = _load_sequence(res.require("input", str))
     order = res.require("order", int)
     if order not in (1, 2):
@@ -317,7 +318,7 @@ def cmd_regtest(args: argparse.Namespace) -> int:
     if k_min is not None:
         k_range = (k_min, k_max)
 
-    calibrate_mode = bool(args.calibrate) or _parse_bool(config.get("calibrate", False))
+    calibrate_mode = bool(args.calibrate) or _parse_bool(res.config.get("calibrate", False))
     payload: dict = {
         "command": "regtest",
         "order": order,
@@ -379,8 +380,7 @@ def cmd_regtest(args: argparse.Namespace) -> int:
 
 
 def cmd_pgram_test(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    res = _Resolver(args, config)
+    res = _Resolver(args)
     points = _load_points_file(res.require("input", str), 4)
     tol = res.get("tol", cubes.DEFAULT_PGRAM_TOL, float)
     quad = cubes.Quad(*points)
@@ -399,8 +399,7 @@ def cmd_pgram_test(args: argparse.Namespace) -> int:
 
 
 def cmd_pped_test(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    res = _Resolver(args, config)
+    res = _Resolver(args)
     points = _load_points_file(res.require("input", str), 8)
     spec = _system_from(res)
     _check_points(spec, points, "input")
@@ -430,8 +429,7 @@ def cmd_pped_test(args: argparse.Namespace) -> int:
 
 
 def cmd_pped_complete(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    res = _Resolver(args, config)
+    res = _Resolver(args)
     points = _load_points_file(res.require("input", str), 7)
     spec = _system_from(res)
     _check_points(spec, points, "input")
@@ -504,8 +502,7 @@ def _load_pair(res: _Resolver, spec: SystemSpec):
 
 
 def _cmd_prox(args: argparse.Namespace, which: str) -> int:
-    config = _load_config(args.config)
-    res = _Resolver(args, config)
+    res = _Resolver(args)
     spec = _system_from(res)
     x, y = _load_pair(res, spec)
     _workers_from(res)
@@ -523,6 +520,8 @@ def _cmd_prox(args: argparse.Namespace, which: str) -> int:
     except ValueError as exc:
         raise UsageError(f"budget: {exc}") from None
     seed = res.get("seed", 0, int)
+    if not 0 <= seed < proximality.SEED_LIMIT:
+        raise UsageError(f"seed: must be in [0, 2**43), got {seed}")
     search = {
         "rp": proximality.rp_search,
         "rp2": proximality.rp2_search,
@@ -553,18 +552,6 @@ def _cmd_prox(args: argparse.Namespace, which: str) -> int:
         f"(m,n)=({record.m},{record.n}), exhausted={record.exhausted}",
     )
     return EXIT_OK
-
-
-def cmd_rp(args):
-    return _cmd_prox(args, "rp")
-
-
-def cmd_rp2(args):
-    return _cmd_prox(args, "rp2")
-
-
-def cmd_rpds(args):
-    return _cmd_prox(args, "rpds")
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(c)
     c.set_defaults(func=cmd_pped_complete)
 
-    for name, fn in (("rp-search", cmd_rp), ("rp2-search", cmd_rp2), ("rpds-search", cmd_rpds)):
-        s = sub.add_parser(name, help=f"{name.split('-')[0].upper()} witness search")
+    for which in ("rp", "rp2", "rpds"):
+        s = sub.add_parser(f"{which}-search", help=f"{which.upper()} witness search")
         s.add_argument("--x", help="x point as x,y,z")
         s.add_argument("--y", help="y point as x,y,z")
         s.add_argument("--input", help="JSON file with fields x, y")
@@ -663,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--seed", type=int)
         _add_system(s)
         _add_common(s)
-        s.set_defaults(func=fn)
+        s.set_defaults(func=functools.partial(_cmd_prox, which=which))
 
     return parser
 

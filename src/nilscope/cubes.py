@@ -27,14 +27,19 @@ of seven table lookups D_v[shift_v], so the horizon cube can be scanned
 with array arithmetic.  Scan order is by shells of |m| + |n| + |p| with
 lexicographic (m, n, p) inside a shell; the search early-exits at the
 first witness below ``resid_tol`` and otherwise returns the global
-argmin (ties broken by shell order).  One minimiser, ``_cube_min``,
-serves both and is exact while pruning: a cell's objective is at least
-each of its single-axis lookups D_1[m], D_2[n], D_4[p], so an axis
-value whose lookup is at or above the bound cannot lie under any cell
-below it.  The early exit takes resid_tol as the bound; the argmin
+argmin (ties broken by shell order).  One block scan serves three
+queries: the early exit and the argmin (``_cube_min``) and the cells
+below twice the residual behind the completion spread
+(``_cells_below``).  It is exact while pruning: a cell's objective is
+at least each of its single-axis lookups D_1[m], D_2[n], D_4[p], so an
+axis value whose lookup is at or above the bound cannot lie under any
+cell below it.  The early exit takes resid_tol as the bound; the argmin
 takes the best objective over each axis's 12 smallest lookups, which
 keeps every cell tied at the minimum.  The kept sub-grid is scanned in
-sequential blocks of about 2**21 cells, on one thread.
+sequential blocks of about 2**21 cells, on one thread.  The tie-break
+takes, in each block, the first qualifying cell of the smallest shell;
+with ascending axes the block's cells are in lexicographic order, so no
+cell is sorted.
 
 The module is kind-agnostic: orbits, distances and factor coordinates
 come from the ``systems.System`` of the spec, so the same code serves
@@ -136,7 +141,10 @@ class CompletionResult:
     completions produced by any witness whose objective is within twice
     the best residual; on systems with a strong parallelepiped
     structure it stays comparable to the residual itself.  It is None
-    when there are too many such witnesses to enumerate.  ``status``
+    when there are too many such witnesses to enumerate: more than 4096
+    cells of the horizon cube lie below twice the residual, or the
+    (m, n) values that pass the single-axis test span more than
+    4 * 4096 pairs.  ``status``
     is "ok" when the residual beat the tolerance and "inconclusive"
     otherwise (never "not a parallelepiped": the search is one-sided).
     """
@@ -229,11 +237,7 @@ _FACE_INDEX = {
 }
 
 #: The three faces whose parallelogram property makes seven vertices completable.
-COMPLETION_FACES = (
-    ("axis1-low", (0, 1, 2, 3)),
-    ("axis2-low", (0, 1, 4, 5)),
-    ("axis3-low", (0, 2, 4, 6)),
-)
+COMPLETION_FACES = tuple((f"axis{a}-low", _FACE_INDEX[(a, 0)]) for a in (1, 2, 3))
 
 
 def face(o: Oct, axis: int, side: int) -> Quad:
@@ -335,65 +339,29 @@ def _order_key(*ns: int) -> tuple[int, ...]:
     return (sum(abs(n) for n in ns), *ns)
 
 
-def _enumerate_below(tables, horizon: int, threshold: float, cap: int):
-    """All (m, n, p) with every table lookup below threshold, or None if over cap.
-
-    Sound and complete for 'objective < threshold' because the
-    objective is the max of the lookups.  Tuples grow one axis at a
-    time, in lexicographic order: axis j keeps a prefix's extensions
-    whose new vertices (those with bit j set) are all below threshold.
-    """
-    span = np.arange(-horizon, horizon + 1)
-
-    def below(v, shift):
-        off, D = tables[v]
-        return D[shift + off] < threshold
-
-    axes = [(span[below(1 << j, span)] if 1 << j in tables else span).tolist() for j in range(3)]
-    if len(axes[0]) * len(axes[1]) > 4 * cap:
-        return None
-    level = [()]
-    for j, axis in enumerate(axes):
-        bit = 1 << j
-        new = [w for w in range(1, bit) if bit | w in tables]
-        last = j == len(axes) - 1
-        out = []
-        for prefix in level:
-            shifts = vertex_shifts(prefix)
-            for a in axis:
-                if all(below(bit | w, a + shifts[w]) for w in new):
-                    out.append((*prefix, a))
-                    if last and len(out) > cap:
-                        return None
-        level = out
-    return level
-
-
-def _cube_min(tables, axes, bound: float = np.inf, first: bool = False):
-    """Best cell of the grid axes[0] x ... x axes[k-1] with objective below bound.
-
-    The objective of a cell ns is max_v D_v[vertex_shifts(ns)[v] + off_v]
-    over the tables {v: (off_v, D_v)}.  Returns (objective, ns) for the
-    minimum, ties broken by ``_order_key``, or with ``first`` for the
-    first cell in that order; None when no cell is below bound.
-
-    Exact pruning: an axis value whose own single-bit lookup is >= bound
-    bounds every cell through it from below, so it is dropped before the
-    scan.  The kept sub-grid is scanned in blocks of about _GRID_CHUNK
-    cells along the first axis; each vertex gathers its lookups only over
-    the axes of its bits.
-    """
+def _prune_axes(tables, axes, bound: float):
+    """The axes without the values whose single-bit lookup is >= bound (exact)."""
     kept = []
     for j, axis in enumerate(axes):
         if 1 << j in tables:
             off, D = tables[1 << j]
             axis = axis[D[axis + off] < bound]
         kept.append(axis)
+    return kept
+
+
+def _cube_blocks(tables, kept):
+    """Yield (grids, objective) for blocks of about _GRID_CHUNK cells of the grid.
+
+    Blocks cut kept[0]; grids[j] is the block's axis j shaped to broadcast.
+    A cell's objective is max_v D_v[vertex_shifts(ns)[v] + off_v] over the
+    tables {v: (off_v, D_v)}; each vertex gathers only over its bits' axes.
+    Cells come in lexicographic order of the axes' entries.
+    """
     if not all(len(a) for a in kept):
-        return None
+        return
     k = len(kept)
     rows = max(1, _GRID_CHUNK // math.prod(len(a) for a in kept[1:]))
-    best, best_key = None, None
     for i in range(0, len(kept[0]), rows):
         block = [kept[0][i : i + rows], *kept[1:]]
         grids = [a.reshape((1,) * j + (-1,) + (1,) * (k - 1 - j)) for j, a in enumerate(block)]
@@ -401,18 +369,49 @@ def _cube_min(tables, axes, bound: float = np.inf, first: bool = False):
         obj = np.zeros(tuple(len(a) for a in block))
         for v, (off, D) in tables.items():
             np.maximum(obj, D[shifts[v] + off], out=obj)
+        yield grids, obj
+
+
+def _cube_min(tables, axes, bound: float = np.inf, first: bool = False):
+    """Best cell of the grid axes[0] x ... x axes[k-1] with objective below bound.
+
+    Returns (objective, ns) for the minimum, ties broken by
+    ``_order_key``, or with ``first`` for the first cell in that order;
+    None when no cell is below bound.  The axes must ascend: a block's
+    cells then come in lexicographic order, so its candidate is the
+    first qualifying cell on the smallest shell, and nothing is sorted.
+    """
+    best, best_key = None, None
+    for grids, obj in _cube_blocks(tables, _prune_axes(tables, axes, bound)):
         vmin = obj.min()
         if not vmin < bound:
             continue
-        idx = np.flatnonzero(obj < bound if first else obj == vmin)
-        ns = [a[c] for a, c in zip(block, np.unravel_index(idx, obj.shape))]
-        at = np.lexsort((*ns[::-1], sum(np.abs(n) for n in ns)))[0]
-        cell = tuple(int(n[at]) for n in ns)
-        val = float(obj.ravel()[idx[at]])
+        hit = obj < bound if first else obj == vmin
+        at = np.where(hit, sum(np.abs(g) for g in grids), np.iinfo(np.int64).max).argmin()
+        cell = tuple(int(g.ravel()[c]) for g, c in zip(grids, np.unravel_index(at, obj.shape)))
+        val = float(obj.ravel()[at])
         key = _order_key(*cell) if first else (val, _order_key(*cell))
         if best is None or key < best_key:
             best, best_key = (val, cell), key
     return best
+
+
+def _cells_below(tables, horizon: int, threshold: float, cap: int):
+    """Every (m, n, p) in the horizon cube with objective below threshold.
+
+    Lexicographic order; None when there are more than cap such cells,
+    or when the first two pruned axes span more than 4 * cap pairs.
+    """
+    kept = _prune_axes(tables, [np.arange(-horizon, horizon + 1)] * 3, threshold)
+    if len(kept[0]) * len(kept[1]) > 4 * cap:
+        return None
+    cells = []
+    for grids, obj in _cube_blocks(tables, kept):
+        idx = np.nonzero(obj < threshold)
+        if len(cells) + len(idx[0]) > cap:
+            return None
+        cells += zip(*(g.ravel()[c].tolist() for g, c in zip(grids, idx)))
+    return cells
 
 
 def _search(system, base, targets, horizon, resid_tol):
@@ -433,7 +432,7 @@ def _search(system, base, targets, horizon, resid_tol):
     seed = []
     for j in range(3):
         off, D = tables[1 << j]
-        seed.append(span[np.argsort(D[span + off])[:12]])
+        seed.append(np.sort(span[np.argsort(D[span + off])[:12]]))
     U = _cube_min(tables, seed)[0]
     return *_cube_min(tables, [span] * 3, np.nextafter(U, np.inf)), False, tables
 
@@ -499,7 +498,7 @@ def pped_complete(
     # Uniqueness diagnostic: completions from all witnesses within twice
     # the best residual; None when they are too many to enumerate.
     threshold = max(2.0 * residual, 1e-12)
-    near = _enumerate_below(tables, horizon, threshold, cap=4096)
+    near = _cells_below(tables, horizon, threshold, cap=4096)
     spread = None
     if near is not None:
         alts = system.orbit(base, np.array([sum(cand) for cand in near], dtype=np.int64))

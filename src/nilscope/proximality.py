@@ -18,20 +18,23 @@ defining distances of the relation.  The minimum is an upper bound on
 the true infimum: small values are witnesses, large values are
 empirical floors, never proofs of failure.  Pairs are visited in order
 of their perturbation cost, and a pair whose time-shift scan cannot beat
-the best value so far is pruned: for RP2 and RPDS only the shifts whose
-single-time cost is already below that value enter the (m, n) grid.
-Pruning never changes the record, because the driver only accepts a
-strict improvement and every tie of an improving minimum lies inside
-the scanned part of the grid.
+the best value so far is pruned: for RP the pair is dropped when no
+shift is below that value, and for RP2 and RPDS only the shifts whose
+single-time cost is already below it enter the (m, n) grid.  Pruning
+never changes the record, because the driver only accepts a strict
+improvement and every tie of an improving minimum lies inside the
+scanned part of the grid.
 
 Determinism: the perturbation offsets are a Halton point set in group
 coordinates scaled to the perturbation radius, shared between the two
 base points, so records are reproducible and the objective is symmetric
-in (x, y).  The scanned set grows with n_max, perturb_samples and
-time_cap_ms, and best-so-far retention makes eps_achieved nonincreasing
-in those components; enlarging perturb_radius grows the searched region
-but reshapes the finite sample, so monotonicity in the radius holds
-only up to sampling resolution.
+in (x, y).  The seed selects a disjoint stretch of the Halton stream
+and must lie in [0, 2**43), so that every index fits in int64.  The
+scanned set grows with n_max, perturb_samples and time_cap_ms, and
+best-so-far retention makes eps_achieved nonincreasing in those
+components; enlarging perturb_radius grows the searched region but
+reshapes the finite sample, so monotonicity in the radius holds only up
+to sampling resolution.
 
 The searches are kind-agnostic: perturbations (left translation by the
 offsets), orbits and distances come from the ``systems.System`` of the
@@ -46,13 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubes import Oct
+from .cubes import Oct, vertex_shifts
 from .systems import System, SystemSpec, system_for
 
 __all__ = [
     "SearchBudget",
     "WitnessRecord",
     "DEFAULT_BUDGET",
+    "SEED_LIMIT",
     "rp_search",
     "rp2_search",
     "rpds_search",
@@ -61,6 +65,7 @@ __all__ = [
 
 _HALTON_PRIMES = (2, 3, 5)
 _SEED_STRIDE = 1 << 20
+SEED_LIMIT = 1 << 43  # seed * _SEED_STRIDE + sample index stays below 2**63
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,8 @@ def _halton(index: np.ndarray, base: int) -> np.ndarray:
 def _halton_cube(k: int, seed: int, dims: int) -> np.ndarray:
     # Fixed stride keeps the stream a prefix of itself as k grows, so
     # enlarging perturb_samples only ever extends the scanned set.
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**43), got {seed}")
     idx = np.arange(1, k) + seed * _SEED_STRIDE
     return np.stack([_halton(idx, p) for p in _HALTON_PRIMES[:dims]], axis=-1)
 
@@ -243,6 +250,8 @@ def rp_search(
     def objective(i: int, j: int, bound):
         d = system.dist(orbit_x(i), orbit_y(j))
         vmin = d.min()
+        if bound is not None and not vmin < bound:
+            return None
         ties = np.flatnonzero(d == vmin)
         shifts = ns[ties]
         k = np.lexsort((shifts, np.abs(shifts)))[0]
@@ -323,7 +332,7 @@ def witness_to_cube(
     xp, yp = record.x_prime, record.y_prime
     x0 = x if x is not None else xp
     y0 = y if y is not None else yp
-    shifts = np.array([record.m, record.n, record.m + record.n])
+    shifts = np.array(vertex_shifts((record.m, record.n))[1:])
     xs = system.orbit(system.row(xp), shifts)
     ys = system.orbit(system.row(yp), shifts)
     a, b, c = (system.point(row) for row in xs)

@@ -214,6 +214,14 @@ class TestCubeCommands:
         write_points(path, q.vertices)
         assert run(["pped-test", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("command, count", [("pgram-test", 4), ("pped-test", 8), ("pped-complete", 7)])
+    @pytest.mark.parametrize("row", [1, ["a", 0, 0]], ids=["scalar", "text"])
+    def test_malformed_point_rows_are_usage_error(self, tmp_path, capsys, command, count, row):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": [row] * count}))
+        assert run([command, "--input", str(path)]) == 2
+        assert "want a list of reals" in capsys.readouterr().err
+
 
 class TestProxCommands:
     def test_rp_trivial(self, tmp_path):
@@ -231,6 +239,18 @@ class TestProxCommands:
         code = run(["rp-search", "--input", str(pair), "--n-max", "50",
                     "--perturb-samples", "8", "--out", str(out)])
         assert code == 0
+
+    def test_malformed_pair_file_is_usage_error(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"x": ["a", 0.1, 0.2], "y": [0.3, 0.4, 0.7]}))
+        assert run(["rp-search", "--input", str(pair)]) == 2
+        assert "want a list of reals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**43])
+    def test_seed_out_of_range_is_usage_error(self, seed, capsys):
+        code = run(["rp-search", "--x", "0.3,0.4,0.2", "--y", "0.3,0.4,0.7", f"--seed={seed}"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_missing_pair_is_usage_error(self, capsys):
         assert run(["rp2-search", "--x", "0.1,0.2,0.3"]) == 2

@@ -268,9 +268,11 @@ class TestSearchPaths:
 
     def thresholds(self, lookups):
         objective = np.array([max(ls) for ls in lookups.values()])
-        return [1e-3, *np.quantile(objective, [0.01, 0.2])]
+        # The last threshold lies above every cell: the whole grid is below it.
+        return [1e-3, *np.quantile(objective, [0.01, 0.2]), objective.max() + 1.0]
 
     def test_enumerate_below(self, tables):
+        """`_cells_below`, the completion spread's enumeration, against a brute force."""
         lookups = self.lookups(tables)
         for threshold in self.thresholds(lookups):
             want = [mnp for mnp, ls in lookups.items() if max(ls) < threshold]
@@ -282,7 +284,7 @@ class TestSearchPaths:
             for cap in (len(want) - 1, len(want), 10**6):
                 if cap < 0:
                     continue
-                got = cb._enumerate_below(tables, self.H, threshold, cap)
+                got = cb._cells_below(tables, self.H, threshold, cap)
                 if len(want) > cap or axis[0] * axis[1] > 4 * cap:
                     assert got is None
                 else:

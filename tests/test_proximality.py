@@ -88,6 +88,17 @@ class TestRP:
         b = px.rp_search(spec, x, y, SMALL, seed=1)
         assert a.eps_achieved > 0 and b.eps_achieved > 0
 
+    @pytest.mark.parametrize("seed", [-1, 2**43])
+    def test_seed_out_of_range_rejected(self, spec, seed):
+        x, y = fiber_pair(0.25)
+        with pytest.raises(ValueError, match="seed"):
+            px.rp_search(spec, x, y, SMALL, seed=seed)
+
+    def test_largest_seed_keeps_distinct_offsets(self, spec):
+        budget = px.SearchBudget(n_max=10, perturb_samples=16)
+        offs = px._offsets(sy.system_for(spec), budget, px.SEED_LIMIT - 1)
+        assert len(np.unique(offs, axis=0)) == len(offs)
+
     def test_time_cap_marks_not_exhausted(self, spec, monkeypatch):
         # The clock jumps past any cap after its first reading (the
         # deadline), so the cap expires right after the first pair.
@@ -185,6 +196,7 @@ def full_scan_record(spec, x, y, budget, relation):
     """The best record over every perturbation pair, each scanned in full."""
     system = sy.system_for(spec)
     N = budget.n_max
+    ns = np.arange(-N, N + 1)
     span2 = np.arange(-2 * N, 2 * N + 1)
     offsets = px._offsets(system, budget, 0)
     xrow, yrow = system.row(x), system.row(y)
@@ -193,18 +205,22 @@ def full_scan_record(spec, x, y, budget, relation):
     ii, jj, base = px._pair_order(system.dist(xp, xrow), system.dist(yp, yrow))
     best = None
     for i, j, b in zip(ii, jj, base):
-        ox = system.orbit(xp[i], span2)
-        oy = system.orbit(yp[j], span2)
-        if relation == "RP2":
-            f = system.dist(ox, oy)
+        if relation == "RP":
+            d = system.dist(system.orbit(xp[i], ns), system.orbit(yp[j], ns))
+            inner, m, n = float(d.min()), 0, min(ns[d == d.min()], key=lambda s: (abs(s), s))
         else:
-            f = np.maximum(system.dist(ox, yrow), system.dist(oy, yrow))
-        inner, m, n = px._min_grid_2d(f[N : 3 * N + 1], f, N)
+            ox = system.orbit(xp[i], span2)
+            oy = system.orbit(yp[j], span2)
+            if relation == "RP2":
+                f = system.dist(ox, oy)
+            else:
+                f = np.maximum(system.dist(ox, yrow), system.dist(oy, yrow))
+            inner, m, n = px._min_grid_2d(f[N : 3 * N + 1], f, N)
         eps = max(float(b), inner)
         if best is None or eps < best[0]:
             best = (eps, m, n, i, j)
     eps, m, n, i, j = best
-    return px.WitnessRecord(eps, m, n, system.point(xp[i]), system.point(yp[j]), relation, True)
+    return px.WitnessRecord(eps, m, int(n), system.point(xp[i]), system.point(yp[j]), relation, True)
 
 
 class TestPruning:
@@ -227,7 +243,10 @@ class TestPruning:
                 got = px._min_grid_2d(f_m, f, N, float(bound))
                 assert got == (full if full[0] < bound else None)
 
-    @pytest.mark.parametrize("search, relation", [(px.rp2_search, "RP2"), (px.rpds_search, "RPDS")])
+    @pytest.mark.parametrize(
+        "search, relation",
+        [(px.rp2_search, "RP2"), (px.rpds_search, "RPDS"), (px.rp_search, "RP")],
+    )
     @pytest.mark.parametrize("system", ["heisenberg", "torus"])
     def test_records_match_unpruned_scan(self, spec, monkeypatch, search, relation, system):
         if system == "heisenberg":
@@ -237,16 +256,21 @@ class TestPruning:
             x, y = sy.TorusPoint((0.1, 0.6)), sy.TorusPoint((0.5, 0.2))
         budget = px.SearchBudget(n_max=30, perturb_samples=6, perturb_radius=0.05)
         pruned = []
-        grid = px._min_grid_2d
+        run = px._run_search
 
-        def counting_grid(f_m, f_sum, n_max, bound=None):
-            found = grid(f_m, f_sum, n_max, bound)
-            pruned.append(found is None)
-            return found
+        def counting_run(*args):
+            *head, objective = args
 
-        monkeypatch.setattr(px, "_min_grid_2d", counting_grid)
+            def counting(i, j, bound):
+                found = objective(i, j, bound)
+                pruned.append(found is None)
+                return found
+
+            return run(*head, counting)
+
+        monkeypatch.setattr(px, "_run_search", counting_run)
         record = search(spec, x, y, budget)
-        monkeypatch.setattr(px, "_min_grid_2d", grid)
+        monkeypatch.setattr(px, "_run_search", run)
         assert record == full_scan_record(spec, x, y, budget, relation)
         assert any(pruned)
 
