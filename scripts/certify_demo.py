@@ -37,7 +37,7 @@ def cell(u, order, eps, delta, M, shift_max):
     params = rg.RegularityParams(order=order, eps=eps, delta=delta, M=M, shift_max=shift_max)
     rep = rg.run_test(u, params)
     trivial = rep.k_hi - rep.k_lo + 1
-    tag = "clean" if not rep.violations else f"{len(rep.violations)} viol"
+    tag = "clean" if not rep.violation_count else f"{rep.violation_count} viol"
     support = "supported" if rep.hypothesis_count > trivial else "trivial-only"
     return f"{tag:>12} ({support}, hyp={rep.hypothesis_count})"
 

@@ -71,8 +71,50 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+# json's text for the floats that float.__repr__ writes otherwise.
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _violations_json(columns: regularity.ViolationColumns, indent: str) -> str:
+    """The violation list as json.dumps(sort_keys=True, indent=2) writes it
+    under a key indented by ``indent``, filled in from the columns with one
+    per-item template."""
+    if not len(columns):
+        return "[]"
+    gaps = list(map(float.__repr__, columns.gap.tolist()))
+    if not np.isfinite(columns.gap).all():
+        gaps = [_JSON_NONFINITE.get(g, g) for g in gaps]
+    shifts = columns.shifts.T.tolist()
+    values = ["%s"] * (2 + len(shifts)) + ["null"] * (3 - len(shifts))  # order 1: no p
+    inner = f"{indent}    "
+    lines = ",\n".join(f'{inner}"{key}": {v}' for key, v in zip(("gap", "k", "m", "n", "p"), values))
+    item = f"{indent}  {{\n{lines}\n{indent}  }}"
+    body = ",\n".join([item % row for row in zip(gaps, columns.k.tolist(), *shifts)])
+    return f"[\n{body}\n{indent}]"
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    json writes everything but violation columns, which stand in it as
+    placeholders that the template writer then replaces.
+    """
+    spliced = []
+
+    def placeholder(o):
+        if not isinstance(o, regularity.ViolationColumns):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        spliced.append(o)
+        return f"\0violations {len(spliced)}"
+
+    text = json.dumps(obj, sort_keys=True, indent=2, default=placeholder) + "\n"
+    for i, columns in enumerate(spliced, start=1):
+        mark = f'"\\u0000violations {i}"'
+        at = text.index(mark)
+        key = text[text.rfind("\n", 0, at) + 1 : at]  # '<indent>"violations": '
+        indent = key[: len(key) - len(key.lstrip(" "))]
+        text = text[:at] + _violations_json(columns, indent) + text[at + len(mark) :]
+    return text
 
 
 def _load_config(path: str | None) -> dict:
@@ -217,10 +259,12 @@ def _workers_from(res: _Resolver) -> int:
 
 def _emit(payload: dict, res: _Resolver, summary: str) -> None:
     out = res.get("out", None, str)
+    to_stdout = getattr(res.args, "json", False)
+    text = _dump_json(payload) if out or to_stdout else None
     if out:
-        _atomic_write(out, _dump_json(payload))
-    if getattr(res.args, "json", False):
-        sys.stdout.write(_dump_json(payload))
+        _atomic_write(out, text)
+    if to_stdout:
+        sys.stdout.write(text)
     else:
         print(summary)
 
@@ -301,6 +345,14 @@ def _grid_list(raw, cast):
     return [cast(p) for p in raw]
 
 
+def _violations_csv(columns: regularity.ViolationColumns) -> str:
+    """Rows k,m,n,p,gap under a header; p is empty at order 1, gap is repr(float)."""
+    shifts = columns.shifts.T.tolist()
+    row = "%s," * (1 + len(shifts)) + "," * (3 - len(shifts)) + "%s\n"
+    gaps = map(float.__repr__, columns.gap.tolist())
+    return "".join(["k,m,n,p,gap\n", *(row % r for r in zip(columns.k.tolist(), *shifts, gaps))])
+
+
 def cmd_regtest(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     u = _load_sequence(res.require("input", str))
@@ -352,18 +404,14 @@ def cmd_regtest(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+    nviol = report.violation_count
     payload["report"] = report.to_dict(include_timing=False)
-    payload["verdict"] = "pass" if not report.violations else "violations"
+    payload["verdict"] = "pass" if nviol == 0 else "violations"
 
     csv_out = res.get("csv", None, str)
     if csv_out:
-        lines = ["k,m,n,p,gap"]
-        for v in report.violations:
-            p_str = "" if v.p is None else str(v.p)
-            lines.append(f"{v.k},{v.m},{v.n},{p_str},{v.gap!r}")
-        _atomic_write(csv_out, "\n".join(lines) + "\n")
+        _atomic_write(csv_out, _violations_csv(report.columns))
 
-    nviol = len(report.violations)
     summary = (
         f"order-{order} scan: {nviol} violation(s), hypothesis_count="
         f"{report.hypothesis_count}, scanned={report.scanned} tuples, "

@@ -355,8 +355,9 @@ def _cube_blocks(tables, kept):
 
     Blocks cut kept[0]; grids[j] is the block's axis j shaped to broadcast.
     A cell's objective is max_v D_v[vertex_shifts(ns)[v] + off_v] over the
-    tables {v: (off_v, D_v)}; each vertex gathers only over its bits' axes.
-    Cells come in lexicographic order of the axes' entries.
+    tables {v: (off_v, D_v)}; each vertex gathers only over its bits' axes,
+    and only the shifts of the tables' vertices are formed.  Cells come in
+    lexicographic order of the axes' entries.
     """
     if not all(len(a) for a in kept):
         return
@@ -365,10 +366,10 @@ def _cube_blocks(tables, kept):
     for i in range(0, len(kept[0]), rows):
         block = [kept[0][i : i + rows], *kept[1:]]
         grids = [a.reshape((1,) * j + (-1,) + (1,) * (k - 1 - j)) for j, a in enumerate(block)]
-        shifts = vertex_shifts(grids)
         obj = np.zeros(tuple(len(a) for a in block))
         for v, (off, D) in tables.items():
-            np.maximum(obj, D[shifts[v] + off], out=obj)
+            index = sum((g for j, g in enumerate(grids) if v >> j & 1), off)
+            np.maximum(obj, D[index], out=obj)
         yield grids, obj
 
 

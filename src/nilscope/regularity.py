@@ -25,13 +25,18 @@ An order-d shift tuple sits on the cube {0,1}^(d+1) as a parallelepiped
 does (``cubes.vertex_shifts``): hypotheses at every vertex but 0 and the
 all-ones one, the conclusion at the all-ones one.  One recursive scan
 serves every order; it runs in one thread, as threads made every
-measured scan slower.  Violations are extracted one packed row at a
-time.  ``naive_test`` is the independent oracle: the same semantics as
+measured scan slower.  Violations stay columns from the scan to the
+report (``ViolationColumns``: base index, shifts, gap), extracted at
+once for all tuples that share their first d shifts; the ``Violation``
+objects of ``RegularityReport.violations`` are built lazily, on first
+use, and the CLI writes its JSON and CSV reports from the columns.
+``naive_test`` is the independent oracle: the same semantics as
 literal nested loops.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -45,6 +50,7 @@ __all__ = [
     "RegularityParams",
     "RegularityReport",
     "Violation",
+    "ViolationColumns",
     "CalibrationResult",
     "ShiftMetricResult",
     "shift_mask",
@@ -116,16 +122,32 @@ class Violation:
         return cls(k, m, n, p, gap)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class ViolationColumns:
+    """Violations as columns, in scan order: base index ``k`` (int64),
+    ``shifts`` (int64, one row of order + 1 shifts m, n[, p] per
+    violation) and ``gap`` (float64)."""
+
+    k: np.ndarray
+    shifts: np.ndarray
+    gap: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+
+@dataclass(eq=False)
 class RegularityReport:
     """Scan outcome: violations plus non-vacuity accounting.
 
+    ``columns`` holds the violations; ``violations`` builds the
+    ``Violation`` objects from them on first use and caches the list.
     ``hypothesis_count`` counts (k, shifts) combinations satisfying the
     hypothesis (each had its conclusion checked); ``scanned`` counts
     shift tuples examined; ``vacuous`` flags hypothesis_count == 0.
     """
 
-    violations: list[Violation]
+    columns: ViolationColumns
     hypothesis_count: int
     scanned: int
     elapsed_ms: int
@@ -133,12 +155,37 @@ class RegularityReport:
     k_lo: int = 0
     k_hi: int = -1
 
+    @classmethod
+    def from_violations(cls, violations: list[Violation], order: int, **counts) -> "RegularityReport":
+        """A report over the given list, which ``violations`` then returns as is."""
+        columns = ViolationColumns(
+            k=np.array([v.k for v in violations], dtype=np.int64),
+            shifts=np.array(
+                [(v.m, v.n, v.p)[: order + 1] for v in violations], dtype=np.int64
+            ).reshape(-1, order + 1),
+            gap=np.array([v.gap for v in violations], dtype=np.float64),
+        )
+        report = cls(columns, **counts)
+        report.__dict__["violations"] = violations  # the functools.cached_property slot
+        return report
+
+    @property
+    def violation_count(self) -> int:
+        return len(self.columns)
+
+    @functools.cached_property
+    def violations(self) -> list[Violation]:
+        c = self.columns
+        return [
+            Violation.at(k, ns, gap)
+            for k, ns, gap in zip(c.k.tolist(), c.shifts.tolist(), c.gap.tolist())
+        ]
+
     def to_dict(self, include_timing: bool = True) -> dict:
+        """The report as a dict; ``violations`` is the ``ViolationColumns``,
+        which ``cli`` writes as a list of {k, m, n, p, gap} objects."""
         out = {
-            "violations": [
-                {"k": v.k, "m": v.m, "n": v.n, "p": v.p, "gap": v.gap}
-                for v in self.violations
-            ],
+            "violations": self.columns,
             "hypothesis_count": self.hypothesis_count,
             "scanned": self.scanned,
             "vacuous": self.vacuous,
@@ -211,18 +258,25 @@ class _Engine:
         bad = np.abs(vals[b + q : b + q + self.nbits] - vals[b : b + self.nbits]) >= self.params.eps
         return np.packbits(bad)
 
-    def row_violations(self, packed: np.ndarray, ns: tuple) -> list[Violation]:
-        """Violations of the shift tuple ns at the set bits of one packed row of base indices."""
-        idx = np.flatnonzero(np.unpackbits(packed, count=self.nbits))
+    def row_violations(self, packed: np.ndarray, ns: tuple, t: np.ndarray):
+        """Columns (k, shifts, gap) of the violations at the set bits of packed rows.
+
+        Row r holds the base indices of the shift tuple (*ns, t[r]); the
+        violations come row by row, k ascending within a row.
+        """
+        r, idx = np.nonzero(np.unpackbits(packed, axis=1, count=self.nbits))
+        shifts = np.empty((len(idx), len(ns) + 1), dtype=np.int64)
+        shifts[:, :-1] = ns
+        shifts[:, -1] = t[r]
         i = self._base_offset + idx
-        d = self.u.values[i + sum(ns)] - self.u.values[i]
+        d = self.u.values[i + shifts.sum(axis=1)] - self.u.values[i]
         # hypot, not np.abs: it matches the scalar abs of naive_test bit for bit.
         gaps = np.hypot(d.real, d.imag) - self.params.eps
-        return [Violation.at(k, ns, g) for k, g in zip((self.lo + idx).tolist(), gaps.tolist())]
+        return self.lo + idx, shifts, gaps
 
 
 def _scan(eng: _Engine, S: int, d: int):
-    """Order-d scan of every shift tuple in [-S, S]^(d+1); returns (violations, hypothesis count).
+    """Order-d scan of every shift tuple in [-S, S]^(d+1); returns (columns, hypothesis count).
 
     The first d shifts are fixed one nonempty row at a time, in
     lexicographic order; the last, t, is a block of 2S+1 packed rows.
@@ -230,6 +284,8 @@ def _scan(eng: _Engine, S: int, d: int):
     shifts, ``block`` row t those at t plus each of their vertex shifts
     (the lower subcube).  Fixing one more shift a extends ``block`` with
     the vertices a + s, but for the all-ones one: that is the conclusion.
+    The violations of each full tuple prefix are extracted at once and
+    joined into columns at the end.
     """
     PM = np.vstack([eng.packed_mask(s) for s in range(-d * S, d * S + 1)])
     VQ = np.vstack([eng.packed_viol(q) for q in range(-(d + 1) * S, (d + 1) * S + 1)])
@@ -239,7 +295,7 @@ def _scan(eng: _Engine, S: int, d: int):
         mid = len(table) // 2 + s
         return table[mid - S : mid + S + 1]
 
-    violations: list[Violation] = []
+    chunks = [(np.zeros(0, np.int64), np.zeros((0, d + 1), np.int64), np.zeros(0))]
     hyp = 0
 
     def visit(ns: tuple, row, block):
@@ -248,8 +304,9 @@ def _scan(eng: _Engine, S: int, d: int):
         if len(ns) == d:
             hyp += int(np.bitwise_count(cand).sum())
             viol = cand & rows(VQ, sum(ns))
-            for t_idx in np.flatnonzero(viol.any(axis=1)):
-                violations.extend(eng.row_violations(viol[t_idx], (*ns, int(t_idx) - S)))
+            t_idx = np.flatnonzero(viol.any(axis=1))
+            if len(t_idx):
+                chunks.append(eng.row_violations(viol[t_idx], ns, t_idx - S))
             return
         shifts = vertex_shifts(ns)
         if len(ns) + 1 == d:
@@ -263,7 +320,7 @@ def _scan(eng: _Engine, S: int, d: int):
 
     # No coordinate fixed yet: no hypothesis on the row.
     visit((), np.uint8(0xFF), rows(PM, 0))
-    return violations, hyp
+    return ViolationColumns(*(np.concatenate(c) for c in zip(*chunks))), hyp
 
 
 def test_order2(u: SequenceSample, params: RegularityParams) -> RegularityReport:
@@ -285,10 +342,10 @@ def run_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
     t0 = time.monotonic()
     eng = _Engine(u, params)
     S, d = params.shift_max, params.order
-    violations, hyp = _scan(eng, S, d)
+    columns, hyp = _scan(eng, S, d)
     elapsed = int((time.monotonic() - t0) * 1000)
     return RegularityReport(
-        violations=violations,
+        columns=columns,
         hypothesis_count=hyp,
         scanned=(2 * S + 1) ** (d + 1),
         elapsed_ms=elapsed,
@@ -328,8 +385,9 @@ def naive_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
                 if gap >= 0:
                     violations.append(Violation.at(k, ns, float(gap)))
     elapsed = int((time.monotonic() - t0) * 1000)
-    return RegularityReport(
-        violations=violations,
+    return RegularityReport.from_violations(
+        violations,
+        params.order,
         hypothesis_count=hyp,
         scanned=scanned,
         elapsed_ms=elapsed,
@@ -376,7 +434,7 @@ def calibrate(
                 order=order, eps=eps, delta=delta, M=M, shift_max=shift_max, k_range=k_range
             )
             report = run_test(u, params)
-            nviol = len(report.violations)
+            nviol = report.violation_count
             entries.append(
                 {
                     "M": M,

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilscope import cli, cubes, heisenberg as h, systems as sy
+from nilscope import cli, cubes, heisenberg as h, nilsequence, regularity as rg, systems as sy
 
 
 def run(argv):
@@ -138,6 +138,119 @@ class TestRegtest:
         assert run(["regtest", "--config", str(cfg)]) == 0
         # flags win over config
         assert run(["regtest", "--config", str(cfg), "--order", "1"]) == 0
+
+
+def bump_sequence(path):
+    """A zero sequence on [-6, 6] with one complex bump at 0: two violations at S=1."""
+    rows = ["n,re,im"] + [f"{n},{0.9 if n == 0 else 0.0},{0.2 if n == 0 else 0.0}" for n in range(-6, 7)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def plain(obj):
+    """obj with every ViolationColumns replaced by the list of dicts json writes for it."""
+    if isinstance(obj, rg.ViolationColumns):
+        out = []
+        for k, ns, gap in zip(obj.k.tolist(), obj.shifts.tolist(), obj.gap.tolist()):
+            m, n, p = (*ns, None)[:3]
+            out.append({"k": k, "m": m, "n": n, "p": p, "gap": gap})
+        return out
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [plain(value) for value in obj]
+    return obj
+
+
+def reference_json(obj) -> str:
+    return json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
+
+
+class TestReportBytes:
+    """The violation template writer against json.dumps(sort_keys=True, indent=2)."""
+
+    EDGE_GAPS = [0.0, 5e-324, 2.5e-310, 1e16, 1e-7, 0.1, 0.6000000000000001, 1.5e300]
+
+    @staticmethod
+    def scan_payload(order):
+        gen = np.random.default_rng(3)
+        vals = gen.uniform(-1, 1, 81) + 1j * gen.uniform(-1, 1, 81)
+        u = nilsequence.SequenceSample(values=vals, n_min=-40)
+        params = rg.RegularityParams(order=order, eps=1.5, delta=1.2, M=1, shift_max=3)
+        report = rg.run_test(u, params)
+        assert report.violation_count > 0
+        return {"command": "regtest", "order": order, "report": report.to_dict(include_timing=False)}
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_scan_reports(self, order):
+        payload = self.scan_payload(order)
+        assert cli._dump_json(payload) == reference_json(payload)
+
+    def test_zero_violations(self):
+        payload = self.scan_payload(1)
+        empty = rg.ViolationColumns(np.zeros(0, np.int64), np.zeros((0, 2), np.int64), np.zeros(0))
+        payload["report"]["violations"] = empty
+        text = cli._dump_json(payload)
+        assert text == reference_json(payload)
+        assert '"violations": []' in text
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_edge_gaps(self, order, depth):
+        gaps = np.array(self.EDGE_GAPS + [np.inf, np.nan])
+        count = len(gaps)
+        gen = np.random.default_rng(order)
+        columns = rg.ViolationColumns(
+            k=gen.integers(-5000, 5000, count),
+            shifts=gen.integers(-60, 61, (count, order + 1)),
+            gap=gaps,
+        )
+        assert (columns.k < 0).any() and (columns.shifts < 0).any()
+        payload = {"hypothesis_count": 7, "violations": columns, "vacuous": False}
+        for _ in range(depth):
+            payload = {"a": [1.5, None], "report": payload, "z": "last"}
+        assert cli._dump_json(payload) == reference_json(payload)
+
+    def test_calibrate_payload(self, tmp_path, monkeypatch):
+        seq = bump_sequence(tmp_path / "bump.csv")
+        payloads = []
+        real_emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda payload, *a: payloads.append(payload) or real_emit(payload, *a))
+        code = run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.3",
+                    "--calibrate", "--M-grid", "0", "--delta-grid", "0.5,0.95",
+                    "--shift-max", "1"])
+        assert code == 1
+        (payload,) = payloads
+        assert payload["calibrate"]["entries"] and payload["report"]["violations"].k.size
+        assert cli._dump_json(payload) == reference_json(payload)
+
+    def test_out_equals_json_stdout(self, tmp_path, capsys, monkeypatch):
+        seq = bump_sequence(tmp_path / "bump.csv")
+        # The CLI writes from the columns and never builds Violation objects.
+        monkeypatch.setattr(rg.Violation, "at", None)
+        rep = tmp_path / "rep.json"
+        code = run(["regtest", "--input", str(seq), "--order", "2", "--eps", "0.3",
+                    "--delta", "0.5", "--M", "0", "--shift-max", "1",
+                    "--out", str(rep), "--json"])
+        assert code == 1
+        stdout = capsys.readouterr().out
+        assert json.loads(stdout)["report"]["violations"]
+        assert rep.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize(
+        "order, expected",
+        [
+            (1, "k,m,n,p,gap\n2,-1,-1,,0.6219544457292887\n-2,1,1,,0.6219544457292887\n"),
+            (2, "k,m,n,p,gap\n3,-1,-1,-1,0.6219544457292887\n-3,1,1,1,0.6219544457292887\n"),
+        ],
+    )
+    def test_csv_bytes(self, tmp_path, order, expected):
+        seq = bump_sequence(tmp_path / "bump.csv")
+        csv_out = tmp_path / "viol.csv"
+        code = run(["regtest", "--input", str(seq), "--order", str(order), "--eps", "0.3",
+                    "--delta", "0.5", "--M", "0", "--shift-max", "1", "--csv", str(csv_out)])
+        assert code == 1
+        assert csv_out.read_bytes() == expected.encode()
 
 
 class TestCubeCommands:

@@ -229,6 +229,25 @@ class TestEngineOracleEquivalence:
         fast = self.assert_identical(u, params)
         assert len({(v.m, v.n) for v in fast.violations}) < 25 < len(fast.violations)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_lazy_violations_built_once(self, order, monkeypatch):
+        gen = np.random.default_rng(20 + order)
+        u = random_sample(gen, 40)
+        params = rg.RegularityParams(order=order, eps=0.4, delta=1.2, M=1, shift_max=2)
+        slow = rg.naive_test(u, params)
+        calls = []
+        real_at = rg.Violation.at
+        monkeypatch.setattr(
+            rg.Violation, "at", lambda *a: calls.append(1) or real_at(*a)
+        )
+        fast = rg.run_test(u, params)
+        assert not calls  # the scan keeps columns only
+        assert fast.violation_count == len(slow.violations) > 0
+        assert fast.violations == slow.violations
+        assert len(calls) == fast.violation_count
+        assert fast.violations is fast.violations
+        assert len(calls) == fast.violation_count
+
     @staticmethod
     def assert_identical(u, params):
         fast = rg.run_test(u, params)
