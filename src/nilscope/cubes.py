@@ -27,19 +27,21 @@ of seven table lookups D_v[shift_v], so the horizon cube can be scanned
 with array arithmetic.  Scan order is by shells of |m| + |n| + |p| with
 lexicographic (m, n, p) inside a shell; the search early-exits at the
 first witness below ``resid_tol`` and otherwise returns the global
-argmin (ties broken by shell order).  One block scan serves three
-queries: the early exit and the argmin (``_cube_min``) and the cells
+argmin (ties broken by shell order).  One block scan serves four
+queries: the early exit and the argmin (``_cube_min``), the cells
 below twice the residual behind the completion spread
-(``_cells_below``).  It is exact while pruning: a cell's objective is
-at least each of its single-axis lookups D_1[m], D_2[n], D_4[p], so an
-axis value whose lookup is at or above the bound cannot lie under any
-cell below it.  The early exit takes resid_tol as the bound; the argmin
-takes the best objective over each axis's 12 smallest lookups, which
-keeps every cell tied at the minimum.  The kept sub-grid is scanned in
-sequential blocks of about 2**21 cells, on one thread.  The tie-break
-takes, in each block, the first qualifying cell of the smallest shell;
-with ascending axes the block's cells are in lexicographic order, so no
-cell is sorted.
+(``_cells_below``), and the RP (k = 1), RP2 and RPDS (k = 2) time-shift
+minima of ``proximality``.  It is exact while pruning: a cell's
+objective is at least each of its single-axis lookups D_1[m], D_2[n],
+D_4[p], so an axis value whose lookup is at or above the bound cannot
+lie under any cell below it, and an axis left empty ends the scan
+before any block is formed.  The early exit takes resid_tol as the
+bound; the argmin takes the best objective over each axis's 12 smallest
+lookups, which keeps every cell tied at the minimum.  The kept sub-grid
+is scanned in sequential blocks of about 2**21 cells, on one thread.
+The tie-break takes, in each block, the first qualifying cell of the
+smallest shell; with ascending axes the block's cells are in
+lexicographic order, so no cell is sorted.
 
 The module is kind-agnostic: orbits, distances and factor coordinates
 come from the ``systems.System`` of the spec, so the same code serves
@@ -340,12 +342,17 @@ def _order_key(*ns: int) -> tuple[int, ...]:
 
 
 def _prune_axes(tables, axes, bound: float):
-    """The axes without the values whose single-bit lookup is >= bound (exact)."""
+    """The axes without the values whose single-bit lookup is >= bound (exact).
+
+    None at the first axis left empty: no cell is below bound.
+    """
     kept = []
     for j, axis in enumerate(axes):
         if 1 << j in tables:
             off, D = tables[1 << j]
             axis = axis[D[axis + off] < bound]
+        if not len(axis):
+            return None
         kept.append(axis)
     return kept
 
@@ -357,20 +364,22 @@ def _cube_blocks(tables, kept):
     A cell's objective is max_v D_v[vertex_shifts(ns)[v] + off_v] over the
     tables {v: (off_v, D_v)}; each vertex gathers only over its bits' axes,
     and only the shifts of the tables' vertices are formed.  Cells come in
-    lexicographic order of the axes' entries.
+    lexicographic order of the axes' entries.  No block when kept is None.
     """
-    if not all(len(a) for a in kept):
+    if kept is None:
         return
     k = len(kept)
     rows = max(1, _GRID_CHUNK // math.prod(len(a) for a in kept[1:]))
     for i in range(0, len(kept[0]), rows):
         block = [kept[0][i : i + rows], *kept[1:]]
         grids = [a.reshape((1,) * j + (-1,) + (1,) * (k - 1 - j)) for j, a in enumerate(block)]
-        obj = np.zeros(tuple(len(a) for a in block))
+        obj = None
         for v, (off, D) in tables.items():
-            index = sum((g for j, g in enumerate(grids) if v >> j & 1), off)
-            np.maximum(obj, D[index], out=obj)
-        yield grids, obj
+            lookup = D[sum((g for j, g in enumerate(grids) if v >> j & 1), off)]
+            obj = lookup if obj is None else np.maximum(obj, lookup)
+        # Only tables that miss an axis need the (slow) broadcast.
+        shape = tuple(len(a) for a in block)
+        yield grids, obj if obj.shape == shape else np.broadcast_to(obj, shape)
 
 
 def _cube_min(tables, axes, bound: float = np.inf, first: bool = False):
@@ -387,10 +396,11 @@ def _cube_min(tables, axes, bound: float = np.inf, first: bool = False):
         vmin = obj.min()
         if not vmin < bound:
             continue
-        hit = obj < bound if first else obj == vmin
-        at = np.where(hit, sum(np.abs(g) for g in grids), np.iinfo(np.int64).max).argmin()
-        cell = tuple(int(g.ravel()[c]) for g, c in zip(grids, np.unravel_index(at, obj.shape)))
-        val = float(obj.ravel()[at])
+        shell = sum(np.abs(g) for g in grids)
+        shell[obj >= bound if first else obj != vmin] = np.iinfo(np.int64).max
+        at = np.unravel_index(shell.argmin(), obj.shape)
+        cell = tuple(int(g.ravel()[c]) for g, c in zip(grids, at))
+        val = float(obj[at])
         key = _order_key(*cell) if first else (val, _order_key(*cell))
         if best is None or key < best_key:
             best, best_key = (val, cell), key
@@ -404,6 +414,8 @@ def _cells_below(tables, horizon: int, threshold: float, cap: int):
     or when the first two pruned axes span more than 4 * cap pairs.
     """
     kept = _prune_axes(tables, [np.arange(-horizon, horizon + 1)] * 3, threshold)
+    if kept is None:
+        return []
     if len(kept[0]) * len(kept[1]) > 4 * cap:
         return None
     cells = []

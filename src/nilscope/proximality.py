@@ -17,13 +17,13 @@ perturbations and all time shifts within the budget, the max of the
 defining distances of the relation.  The minimum is an upper bound on
 the true infimum: small values are witnesses, large values are
 empirical floors, never proofs of failure.  Pairs are visited in order
-of their perturbation cost, and a pair whose time-shift scan cannot beat
-the best value so far is pruned: for RP the pair is dropped when no
-shift is below that value, and for RP2 and RPDS only the shifts whose
-single-time cost is already below it enter the (m, n) grid.  Pruning
-never changes the record, because the driver only accepts a strict
-improvement and every tie of an improving minimum lies inside the
-scanned part of the grid.
+of their perturbation cost; ``cubes._cube_min`` scans each pair's time
+shifts (k = 1 for RP's n, k = 2 for the RP2/RPDS times m, n, m+n) below
+the best value so far.  Its single-axis pruning is exact: only shifts
+whose own cost is below that bound enter the grid, and a pair with none
+is dropped.  Pruning never changes the record, because the pair loop only
+accepts a strict improvement and every tie of an improving minimum lies
+inside the scanned part of the grid.
 
 Determinism: the perturbation offsets are a Halton point set in group
 coordinates scaled to the perturbation radius, shared between the two
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubes import Oct, vertex_shifts
+from .cubes import Oct, _cube_min, vertex_shifts
 from .systems import System, SystemSpec, system_for
 
 __all__ = [
@@ -161,33 +161,20 @@ def _pair_order(bx: np.ndarray, by: np.ndarray):
     return ii[order], jj[order], base[order]
 
 
-def _min_grid_2d(f_m: np.ndarray, f_sum: np.ndarray, n_max: int, bound=None):
-    """Minimize max(f_m[m], f_m[n], f_sum[m+n]) over the (m, n) square.
+def _pair_min(f: np.ndarray, n_max: int, k: int, bound: float = np.inf):
+    """Minimize max of f at the vertex shifts of (n_1, ..., n_k), |n_j| <= n_max.
 
-    ``f_m`` covers shifts [-n_max, n_max]; ``f_sum`` covers
-    [-2 n_max, 2 n_max].  Ties resolve by (|m| + |n|, m, n).  With a
-    ``bound``, only shifts with f_m < bound are scanned (every other cell
-    is already >= bound), and None is returned unless the minimum is
-    below the bound.
+    ``f`` covers shifts [-k n_max, k n_max] and serves every vertex of the
+    cube scan: k = 1 is RP's shift n, k = 2 the RP2/RPDS times m, n, m+n.
+    Returns (inner, m, n), m = 0 for k = 1, ties resolved by
+    (|m| + |n|, m, n); None unless the minimum is below bound.
     """
-    span = np.arange(-n_max, n_max + 1)
-    if bound is not None:
-        keep = f_m < bound
-        if not keep.any():
-            return None
-        span = span[keep]
-        f_m = f_m[keep]
-    grid = np.maximum(f_m[:, None], f_m[None, :])
-    np.maximum(grid, f_sum[(span[:, None] + span[None, :]) + 2 * n_max], out=grid)
-    vmin = grid.min()
-    if bound is not None and not vmin < bound:
+    tables = dict.fromkeys(range(1, 1 << k), (k * n_max, f))
+    hit = _cube_min(tables, [np.arange(-n_max, n_max + 1)] * k, bound)
+    if hit is None:
         return None
-    idx = np.argwhere(grid == vmin)
-    ms = span[idx[:, 0]]
-    ns = span[idx[:, 1]]
-    shell = np.abs(ms) + np.abs(ns)
-    i = np.lexsort((ns, ms, shell))[0]
-    return float(vmin), int(ms[i]), int(ns[i])
+    inner, ns = hit
+    return (inner, *(0, *ns)[-2:])
 
 
 def _run_search(system, x, y, xp, yp, budget, relation, pair_objective):
@@ -195,8 +182,8 @@ def _run_search(system, x, y, xp, yp, budget, relation, pair_objective):
 
     ``xp`` and ``yp`` are the perturbed points from ``_perturbed``.
     ``pair_objective(i, j, bound)`` returns (inner, m, n), or None when it
-    can tell that inner >= bound (the best eps so far; None for the
-    first pair), since such a pair cannot improve the record.
+    can tell that inner >= bound (the best eps so far; inf for the first
+    pair), since such a pair cannot improve the record.
     """
     deadline = time.monotonic() + budget.time_cap_ms / 1000.0
     bx = system.dist(xp, system.row(x))
@@ -213,7 +200,7 @@ def _run_search(system, x, y, xp, yp, budget, relation, pair_objective):
         if best is not None and time.monotonic() > deadline:
             exhausted = False
             break
-        found = pair_objective(int(i), int(j), None if best is None else best[0])
+        found = pair_objective(int(i), int(j), np.inf if best is None else best[0])
         if found is None:
             continue
         inner, m, n = found
@@ -247,15 +234,8 @@ def rp_search(
     orbit_x = functools.cache(lambda i: system.orbit(xp[i], ns))
     orbit_y = functools.cache(lambda j: system.orbit(yp[j], ns))
 
-    def objective(i: int, j: int, bound):
-        d = system.dist(orbit_x(i), orbit_y(j))
-        vmin = d.min()
-        if bound is not None and not vmin < bound:
-            return None
-        ties = np.flatnonzero(d == vmin)
-        shifts = ns[ties]
-        k = np.lexsort((shifts, np.abs(shifts)))[0]
-        return float(vmin), 0, int(shifts[k])
+    def objective(i: int, j: int, bound: float):
+        return _pair_min(system.dist(orbit_x(i), orbit_y(j)), N, 1, bound)
 
     return _run_search(system, x, y, xp, yp, budget, "RP", objective)
 
@@ -274,10 +254,8 @@ def rp2_search(
     orbit_x = functools.cache(lambda i: system.orbit(xp[i], span2))
     orbit_y = functools.cache(lambda j: system.orbit(yp[j], span2))
 
-    def objective(i: int, j: int, bound):
-        f = system.dist(orbit_x(i), orbit_y(j))
-        f_m = f[N : 3 * N + 1]  # restrict to |s| <= n_max
-        return _min_grid_2d(f_m, f, N, bound)
+    def objective(i: int, j: int, bound: float):
+        return _pair_min(system.dist(orbit_x(i), orbit_y(j)), N, 2, bound)
 
     return _run_search(system, x, y, xp, yp, budget, "RP2", objective)
 
@@ -302,10 +280,8 @@ def rpds_search(
     returns_x = functools.cache(lambda i: system.dist(system.orbit(xp[i], span2), y_row))
     returns_y = functools.cache(lambda j: system.dist(system.orbit(yp[j], span2), y_row))
 
-    def objective(i: int, j: int, bound):
-        g = np.maximum(returns_x(i), returns_y(j))
-        g_m = g[N : 3 * N + 1]
-        return _min_grid_2d(g_m, g, N, bound)
+    def objective(i: int, j: int, bound: float):
+        return _pair_min(np.maximum(returns_x(i), returns_y(j)), N, 2, bound)
 
     return _run_search(system, x, y, xp, yp, budget, "RPDS", objective)
 

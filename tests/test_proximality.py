@@ -215,12 +215,20 @@ def full_scan_record(spec, x, y, budget, relation):
                 f = system.dist(ox, oy)
             else:
                 f = np.maximum(system.dist(ox, yrow), system.dist(oy, yrow))
-            inner, m, n = px._min_grid_2d(f[N : 3 * N + 1], f, N)
+            # Every cell of the (m, n) square: the m, n and m+n lookups, then
+            # the first minimal cell in (|m| + |n|, m, n) order.
+            M, Nn = np.meshgrid(ns, ns, indexing="ij")
+            grid = np.maximum(np.maximum(f[M + 2 * N], f[Nn + 2 * N]), f[M + Nn + 2 * N])
+            inner = float(grid.min())
+            ties = zip(M[grid == inner], Nn[grid == inner])
+            m, n = min(ties, key=lambda c: (abs(c[0]) + abs(c[1]), c[0], c[1]))
         eps = max(float(b), inner)
         if best is None or eps < best[0]:
             best = (eps, m, n, i, j)
     eps, m, n, i, j = best
-    return px.WitnessRecord(eps, m, int(n), system.point(xp[i]), system.point(yp[j]), relation, True)
+    return px.WitnessRecord(
+        eps, int(m), int(n), system.point(xp[i]), system.point(yp[j]), relation, True
+    )
 
 
 class TestPruning:
@@ -236,12 +244,15 @@ class TestPruning:
                 f = rng.integers(0, 4, 4 * N + 1) / 4.0
             else:
                 f = np.full(4 * N + 1, rng.random())
-            f_m = f[N : 3 * N + 1]
-            full = px._min_grid_2d(f_m, f, N)
-            bounds = np.concatenate([f, [full[0] - 1e-3, 0.0, 2.0], rng.random(5)])
-            for bound in bounds:
-                got = px._min_grid_2d(f_m, f, N, float(bound))
-                assert got == (full if full[0] < bound else None)
+            # k = 1 is the RP shift n, k = 2 the RP2/RPDS times (m, n, m+n);
+            # the table covers shifts [-kN, kN].
+            for k in (1, 2):
+                table = f[(2 - k) * N : (2 + k) * N + 1]
+                full = px._pair_min(table, N, k)
+                bounds = np.concatenate([f, [full[0] - 1e-3, 0.0, 2.0], rng.random(5)])
+                for bound in bounds:
+                    got = px._pair_min(table, N, k, float(bound))
+                    assert got == (full if full[0] < bound else None)
 
     @pytest.mark.parametrize(
         "search, relation",
