@@ -344,12 +344,17 @@ def _order_key(*ns: int) -> tuple[int, ...]:
 def _prune_axes(tables, axes, bound: float):
     """The axes without the values whose single-bit lookup is >= bound (exact).
 
-    None at the first axis left empty: no cell is below bound.
+    None at the first axis left empty: no cell is below bound.  An axis
+    that repeats the previous axis and its table (the pair scans share one
+    span and one table) reuses its pruning.
     """
     kept = []
     for j, axis in enumerate(axes):
-        if 1 << j in tables:
-            off, D = tables[1 << j]
+        table = tables.get(1 << j)
+        if j and axis is axes[j - 1] and table is tables.get(1 << (j - 1)):
+            axis = kept[-1]
+        elif table is not None:
+            off, D = table
             axis = axis[D[axis + off] < bound]
         if not len(axis):
             return None

@@ -26,9 +26,15 @@ symmetric and 0 on the diagonal.  In float64 both hold to a few ulps: on
 10^5 random pairs d(p, q) and d(q, p) differ for about a third, by up to
 about 7e-16, and d(p, p) reaches about 6e-17.  It separates points, is
 continuous, and is compatible with the quotient topology, which is all
-the regional-proximality machinery needs.  It is *not* a geodesic metric
-and the triangle inequality is not relied upon anywhere.  Left
-translation (the dynamics) is deliberately not an isometry of this gauge.
+the regional-proximality machinery needs.  It is *not* a geodesic metric,
+and its triangle inequality is not relied upon anywhere.  It is at least
+the circle sup-distance of the factor coordinates (x, y), to a few ulps
+in float64, since the first two coordinates of p * (q * gamma)^{-1} are
+lifts of their difference and the norm takes their absolute values.
+The witness searches bound pairs by that factor distance and, for RPDS,
+use the triangle inequality of the torus sup metric on the factor,
+never that of the gauge.  Left translation (the dynamics) is
+deliberately not an isometry of this gauge.
 
 Scalar operations work on the frozen dataclasses below; the ``*_arr``
 variants operate on (..., 3) float arrays for the scan engines, and the

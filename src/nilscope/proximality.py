@@ -17,13 +17,22 @@ perturbations and all time shifts within the budget, the max of the
 defining distances of the relation.  The minimum is an upper bound on
 the true infimum: small values are witnesses, large values are
 empirical floors, never proofs of failure.  Pairs are visited in order
-of their perturbation cost; ``cubes._cube_min`` scans each pair's time
-shifts (k = 1 for RP's n, k = 2 for the RP2/RPDS times m, n, m+n) below
-the best value so far.  Its single-axis pruning is exact: only shifts
-whose own cost is below that bound enter the grid, and a pair with none
-is dropped.  Pruning never changes the record, because the pair loop only
-accepts a strict improvement and every tie of an improving minimum lies
-inside the scanned part of the grid.
+of their perturbation cost.  A pair is first cut by the factor bound:
+the factor map is equivariant onto a rotation, an isometry of the
+circle sup-distance d_Z, and the gauge and the torus metric are at
+least d_Z of the factor coordinates.  So at every time shift the RP and
+RP2 costs are at least d_Z(pi x', pi y'), and the RPDS cost, which
+measures both orbits against y, at least half of it (triangle
+inequality on Z).  A pair whose bound, less a margin for the orbit
+rounding that grows with n_max (see ``_factor_bound``), is at or above
+the best value so far is skipped, and its orbits are not built.
+``cubes._cube_min`` scans each remaining pair's time shifts (k = 1 for
+RP's n, k = 2 for the RP2/RPDS times m, n, m+n) below the best value
+so far.  Its single-axis pruning is exact: only shifts whose own cost
+is below that bound enter the grid, and a pair with none is dropped.
+Neither cut changes the record, because the pair loop only accepts a
+strict improvement and every tie of an improving minimum lies inside
+the scanned part of the grid.
 
 Determinism: the perturbation offsets are a Halton point set in group
 coordinates scaled to the perturbation radius, shared between the two
@@ -50,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubes import Oct, _cube_min, vertex_shifts
-from .systems import System, SystemSpec, system_for
+from .systems import RotationSystem, System, SystemSpec, system_for
 
 __all__ = [
     "SearchBudget",
@@ -177,18 +186,50 @@ def _pair_min(f: np.ndarray, n_max: int, k: int, bound: float = np.inf):
     return (inner, *(0, *ns)[-2:])
 
 
+def _factor_bound(system, xp, yp, budget, relation):
+    """K x K lower bounds on the inner minimum of each pair, less their margin.
+
+    Entry (i, j) is at most the pair objective at every time shift, as
+    computed.  The factor map is equivariant onto a rotation, an isometry
+    of the circle sup-distance d_Z, and both the gauge and the torus
+    metric are at least d_Z of the factor coordinates (the gauge's |ux|
+    and |uy| terms are lifts of their difference).  So RP and RP2 cost
+    at least d_Z(pi x', pi y') at every shift.  RPDS measures both orbits
+    against the unperturbed y, so by the triangle inequality on Z the
+    larger of its two return distances is at least half of that.
+
+    The margin covers the float rounding, with u = 2**-53 and
+    a = max(|alpha|, |beta|).  A factor coordinate of the orbit at shift
+    s is s*alpha (or s*beta), plus the coordinate, reduced mod 1: three
+    roundings, at most (2|s| a + 2) u off the exact rotation; |s| <= k n_max
+    (k = 1 for RP, 2 for RP2 and RPDS).  Both orbits move; the distance
+    on the orbits rounds by at most 4u and the bound itself by 1.5u.  So
+    the computed objective is at least the computed bound less
+    (4 k n_max a + 9.5) u, and the margin (k n_max a + 4) * 2**-50 is
+    more than twice that (for RPDS, four times the halved slack).
+    """
+    k = 1 if relation == "RP" else 2
+    a = max(abs(system.spec.alpha), abs(system.spec.beta))
+    margin = (k * budget.n_max * a + 4.0) * 2.0**-50
+    bound = RotationSystem.dist(system.factor(xp)[:, None], system.factor(yp)[None])
+    return (0.5 if relation == "RPDS" else 1.0) * bound - margin
+
+
 def _run_search(system, x, y, xp, yp, budget, relation, pair_objective):
     """Shared scan driver: perturbation pairs in base-cost order, best-so-far.
 
     ``xp`` and ``yp`` are the perturbed points from ``_perturbed``.
     ``pair_objective(i, j, bound)`` returns (inner, m, n), or None when it
     can tell that inner >= bound (the best eps so far; inf for the first
-    pair), since such a pair cannot improve the record.
+    pair), since such a pair cannot improve the record.  A pair whose
+    factor bound (``_factor_bound``) is already at or above the best eps
+    is skipped without calling it, for the same reason.
     """
     deadline = time.monotonic() + budget.time_cap_ms / 1000.0
     bx = system.dist(xp, system.row(x))
     by = system.dist(yp, system.row(y))
     ii, jj, base = _pair_order(bx, by)
+    lower = _factor_bound(system, xp, yp, budget, relation)
 
     best = None  # (eps, m, n, i, j)
     exhausted = True
@@ -200,6 +241,8 @@ def _run_search(system, x, y, xp, yp, budget, relation, pair_objective):
         if best is not None and time.monotonic() > deadline:
             exhausted = False
             break
+        if best is not None and lower[i, j] >= best[0]:
+            continue
         found = pair_objective(int(i), int(j), np.inf if best is None else best[0])
         if found is None:
             continue

@@ -192,12 +192,32 @@ class TestRPDS:
         assert record.eps_achieved > 0.05
 
 
+def brute_inner(system, xp, yp, yrow, N, relation):
+    """A pair's inner minimum and its first minimal shifts, over the full grid."""
+    ns = np.arange(-N, N + 1)
+    span2 = np.arange(-2 * N, 2 * N + 1)
+    if relation == "RP":
+        d = system.dist(system.orbit(xp, ns), system.orbit(yp, ns))
+        return float(d.min()), 0, min(ns[d == d.min()], key=lambda s: (abs(s), s))
+    ox = system.orbit(xp, span2)
+    oy = system.orbit(yp, span2)
+    if relation == "RP2":
+        f = system.dist(ox, oy)
+    else:
+        f = np.maximum(system.dist(ox, yrow), system.dist(oy, yrow))
+    # Every cell of the (m, n) square: the m, n and m+n lookups, then
+    # the first minimal cell in (|m| + |n|, m, n) order.
+    M, Nn = np.meshgrid(ns, ns, indexing="ij")
+    grid = np.maximum(np.maximum(f[M + 2 * N], f[Nn + 2 * N]), f[M + Nn + 2 * N])
+    inner = float(grid.min())
+    ties = zip(M[grid == inner], Nn[grid == inner])
+    m, n = min(ties, key=lambda c: (abs(c[0]) + abs(c[1]), c[0], c[1]))
+    return inner, m, n
+
+
 def full_scan_record(spec, x, y, budget, relation):
     """The best record over every perturbation pair, each scanned in full."""
     system = sy.system_for(spec)
-    N = budget.n_max
-    ns = np.arange(-N, N + 1)
-    span2 = np.arange(-2 * N, 2 * N + 1)
     offsets = px._offsets(system, budget, 0)
     xrow, yrow = system.row(x), system.row(y)
     xp = system.translate(offsets, xrow)
@@ -205,23 +225,7 @@ def full_scan_record(spec, x, y, budget, relation):
     ii, jj, base = px._pair_order(system.dist(xp, xrow), system.dist(yp, yrow))
     best = None
     for i, j, b in zip(ii, jj, base):
-        if relation == "RP":
-            d = system.dist(system.orbit(xp[i], ns), system.orbit(yp[j], ns))
-            inner, m, n = float(d.min()), 0, min(ns[d == d.min()], key=lambda s: (abs(s), s))
-        else:
-            ox = system.orbit(xp[i], span2)
-            oy = system.orbit(yp[j], span2)
-            if relation == "RP2":
-                f = system.dist(ox, oy)
-            else:
-                f = np.maximum(system.dist(ox, yrow), system.dist(oy, yrow))
-            # Every cell of the (m, n) square: the m, n and m+n lookups, then
-            # the first minimal cell in (|m| + |n|, m, n) order.
-            M, Nn = np.meshgrid(ns, ns, indexing="ij")
-            grid = np.maximum(np.maximum(f[M + 2 * N], f[Nn + 2 * N]), f[M + Nn + 2 * N])
-            inner = float(grid.min())
-            ties = zip(M[grid == inner], Nn[grid == inner])
-            m, n = min(ties, key=lambda c: (abs(c[0]) + abs(c[1]), c[0], c[1]))
+        inner, m, n = brute_inner(system, xp[i], yp[j], yrow, budget.n_max, relation)
         eps = max(float(b), inner)
         if best is None or eps < best[0]:
             best = (eps, m, n, i, j)
@@ -229,6 +233,61 @@ def full_scan_record(spec, x, y, budget, relation):
     return px.WitnessRecord(
         eps, int(m), int(n), system.point(xp[i]), system.point(yp[j]), relation, True
     )
+
+
+def factor_skips(monkeypatch, search, spec, x, y, budget):
+    """Run a search; return its record and every pair it visited before its break.
+
+    Each visited pair (i, j) comes with the record it met, the best eps
+    before it (the bound handed to the next evaluated pair, or the final
+    record when no pair is evaluated after it), and whether the factor
+    bound skipped it.
+    """
+    called, seen = {}, {}
+    run = px._run_search
+
+    def recording_run(*args):
+        *head, objective = args
+        seen["head"] = head
+
+        def recording(i, j, bound):
+            called[i, j] = bound
+            return objective(i, j, bound)
+
+        return run(*head, recording)
+
+    with monkeypatch.context() as m:
+        m.setattr(px, "_run_search", recording_run)
+        record = search(spec, x, y, budget)
+    system, x, y, xp, yp = seen["head"][:5]
+    ii, jj, base = px._pair_order(system.dist(xp, system.row(x)), system.dist(yp, system.row(y)))
+    before = []
+    best = record.eps_achieved
+    for i, j in reversed(list(zip(ii, jj))):
+        best = called.get((i, j), best)
+        before.append(best)
+    visited = []
+    for p, (i, j, b, best) in enumerate(zip(ii, jj, base, reversed(before))):
+        if p and b >= best:
+            break
+        visited.append((i, j, best, (i, j) not in called))
+    return record, system, xp, yp, visited
+
+
+TORUS1 = sy.SystemSpec(kind="torus_rotation", dims=1)
+TORUS2 = sy.SystemSpec(kind="torus_rotation")
+SEARCHES = {"RP": px.rp_search, "RP2": px.rp2_search, "RPDS": px.rpds_search}
+
+
+def orbit_rounding(k, n_max):
+    """The factor bound's float margin at shifts |s| <= k n_max (see _factor_bound)."""
+    return (k * n_max * max(sy.DEFAULT_ALPHA, sy.DEFAULT_BETA) + 4) * 2.0**-50
+
+
+def make_point(spec, coords):
+    if spec.kind == "heisenberg":
+        return h.NilPoint(*coords)
+    return sy.TorusPoint(tuple(coords[: spec.dims]))
 
 
 class TestPruning:
@@ -284,6 +343,87 @@ class TestPruning:
         monkeypatch.setattr(px, "_run_search", run)
         assert record == full_scan_record(spec, x, y, budget, relation)
         assert any(pruned)
+
+    @pytest.mark.parametrize("relation", ["RP", "RP2", "RPDS"])
+    @pytest.mark.parametrize("system", ["heisenberg", "torus1", "torus2"])
+    def test_factor_bound_skips_are_sound(self, spec, monkeypatch, rng, relation, system):
+        # Every pair the factor bound skips has a brute-force inner minimum,
+        # over the full grid, at or above the record it was skipped against.
+        spec = {"heisenberg": spec, "torus1": TORUS1, "torus2": TORUS2}[system]
+        # At half strength the RPDS bound only cuts once the orbits come close
+        # to the midpoint of x' and y', which takes a longer horizon.
+        n_max, samples = (150, 12) if relation == "RPDS" else (30, 8)
+        budget = px.SearchBudget(n_max=n_max, perturb_samples=samples, perturb_radius=0.05)
+        pairs = [
+            ((0.3, 0.4, 0.2), (0.3, 0.4, 0.7)),  # fibre
+            ((0.1, 0.2, 0.3), (0.4, 0.2, 0.3)),  # factor mismatch
+            *((rng.random(3), rng.random(3)) for _ in range(3)),
+        ]
+        n_skipped = 0
+        for cx, cy in pairs:
+            x, y = make_point(spec, cx), make_point(spec, cy)
+            _, sys_, xp, yp, visited = factor_skips(
+                monkeypatch, SEARCHES[relation], spec, x, y, budget
+            )
+            for i, j, best, skipped in visited:
+                if skipped:
+                    inner = brute_inner(sys_, xp[i], yp[j], sys_.row(y), n_max, relation)[0]
+                    assert inner >= best
+                    n_skipped += 1
+        assert n_skipped
+
+    @pytest.mark.parametrize(
+        "relation, n_max", [("RP", 3), ("RP2", 3), ("RP", 100_000), ("RP2", 200)]
+    )
+    def test_factor_bound_within_ulps_of_record(self, monkeypatch, rng, relation, n_max):
+        # On the circle with y = x + 0.3, four samples at radius 0.06 give the
+        # offsets 0, 0, -0.03 and 0.03.  The pairs (0, 2) and (3, 0) have the
+        # same offset difference but other points, so whichever comes second
+        # meets a record set by the first: its factor bound sits within the
+        # rounding of that record, and so does its inner minimum, on either
+        # side.  The rounding grows with n_max.  The skips must stay sound.
+        budget = px.SearchBudget(n_max=n_max, perturb_samples=4, perturb_radius=0.06)
+        margin = orbit_rounding(1 if relation == "RP" else 2, n_max)
+        for c in rng.random(6):
+            x, y = sy.TorusPoint((c,)), sy.TorusPoint(((c + 0.3) % 1.0,))
+            _, sys_, xp, yp, visited = factor_skips(
+                monkeypatch, SEARCHES[relation], TORUS1, x, y, budget
+            )
+            # Row 1 repeats row 0 (zero offset), so pairs through it repeat others.
+            gaps = [
+                float(sy.RotationSystem.dist(xp[i], yp[j])) - best
+                for i, j, best, _ in visited[1:]
+                if 1 not in (i, j)
+            ]
+            assert min(map(abs, gaps)) <= (8 * np.spacing(0.3) if n_max < 10 else margin)
+            for i, j, best, skipped in visited:
+                if skipped:
+                    inner = brute_inner(sys_, xp[i], yp[j], sys_.row(y), n_max, relation)[0]
+                    assert inner >= best
+
+
+class TestRotationInfimum:
+    """On a rotation every orbit distance is the initial one, so RP and RP2
+    minimise max(d(x, x'), d(y, y'), d(x', y')) over the radius-r ball, which
+    is at least max(d/3, d - 2r) for d = d(x, y) by the triangle inequality."""
+
+    @pytest.mark.parametrize("search", [px.rp_search, px.rp2_search])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_floor_and_nonincreasing_excess(self, rng, search, dims):
+        spec = sy.SystemSpec(kind="torus_rotation", dims=dims)
+        slack = orbit_rounding(1 if search is px.rp_search else 2, 20)
+        for _ in range(4):
+            x = sy.TorusPoint(tuple(rng.random(dims)))
+            y = sy.TorusPoint(tuple(rng.random(dims)))
+            d = sy.torus_dist(x, y)
+            for r in (0.01, 0.05, 0.2):
+                floor = max(d / 3, d - 2 * r)
+                excess = []
+                for K in (4, 16, 64):
+                    budget = px.SearchBudget(n_max=20, perturb_samples=K, perturb_radius=r)
+                    excess.append(search(spec, x, y, budget).eps_achieved - floor)
+                assert min(excess) >= -slack
+                assert excess[2] <= excess[1] <= excess[0]
 
 
 class TestWitnessToCube:
