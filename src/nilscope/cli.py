@@ -16,7 +16,10 @@ Exit codes compose in shell pipelines: 0 = pass/clean, 1 = finding
 validation error.  Validation always happens before any output is
 touched, outputs are written atomically (temp file + rename), and
 written reports contain no timing fields, so identical configurations
-produce byte-identical outputs regardless of worker count.
+produce byte-identical outputs regardless of worker count.  The one
+exception is the proximality searches' ``time_cap_ms``, a wall-clock
+deadline: a search that it cuts short reports ``exhausted: false``, and
+its record depends on how far the scan got in time.
 
 A config file (``--config``, ``key = value`` lines, ``#`` comments)
 supplies defaults; explicit flags win.  Every command runs
@@ -27,6 +30,7 @@ validated on every subcommand but otherwise ignored.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -554,28 +558,17 @@ def _cmd_prox(args: argparse.Namespace, which: str) -> int:
     spec = _system_from(res)
     x, y = _load_pair(res, spec)
     _workers_from(res)
+    fields = dataclasses.fields(proximality.SearchBudget)
     try:
         budget = proximality.SearchBudget(
-            n_max=res.get("n_max", proximality.DEFAULT_BUDGET.n_max, int),
-            perturb_samples=res.get(
-                "perturb_samples", proximality.DEFAULT_BUDGET.perturb_samples, int
-            ),
-            perturb_radius=res.get(
-                "perturb_radius", proximality.DEFAULT_BUDGET.perturb_radius, float
-            ),
-            time_cap_ms=res.get("time_cap_ms", proximality.DEFAULT_BUDGET.time_cap_ms, int),
+            **{f.name: res.get(f.name, f.default, type(f.default)) for f in fields}
         )
     except ValueError as exc:
         raise UsageError(f"budget: {exc}") from None
     seed = res.get("seed", 0, int)
     if not 0 <= seed < proximality.SEED_LIMIT:
         raise UsageError(f"seed: must be in [0, 2**43), got {seed}")
-    search = {
-        "rp": proximality.rp_search,
-        "rp2": proximality.rp2_search,
-        "rpds": proximality.rpds_search,
-    }[which]
-    record = search(spec, x, y, budget, seed)
+    record = getattr(proximality, f"{which}_search")(spec, x, y, budget, seed)
     payload = {
         "command": f"{which}-search",
         "relation": record.relation,
@@ -585,12 +578,7 @@ def _cmd_prox(args: argparse.Namespace, which: str) -> int:
         "x_prime": _point_to_list(record.x_prime),
         "y_prime": _point_to_list(record.y_prime),
         "exhausted": record.exhausted,
-        "budget": {
-            "n_max": budget.n_max,
-            "perturb_samples": budget.perturb_samples,
-            "perturb_radius": budget.perturb_radius,
-            "time_cap_ms": budget.time_cap_ms,
-        },
+        "budget": dataclasses.asdict(budget),
         "seed": seed,
     }
     _emit(

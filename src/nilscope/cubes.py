@@ -325,15 +325,16 @@ def _build_tables(system: System, base, targets: dict[int, object], horizon: int
     """Distance tables per vertex, keyed by vertex index; value (offset, D).
 
     D[s + offset] is the distance from T^s base to the vertex's target,
-    |s| <= offset.
+    |s| <= offset.  One orbit of base, over the widest offset, serves
+    every vertex through its slice.
     """
-    base = system.row(base)
-    tables = {}
-    for v, target in targets.items():
-        smax = vertex_shifts((horizon,) * 3)[v]
-        orbit = system.orbit(base, np.arange(-smax, smax + 1))
-        tables[v] = (smax, system.dist(orbit, system.row(target)))
-    return tables
+    shifts = vertex_shifts((horizon,) * 3)
+    top = max(shifts[v] for v in targets)
+    orbit = system.orbit(system.row(base), np.arange(-top, top + 1))
+    return {
+        v: (shifts[v], system.dist(orbit[top - shifts[v] : top + shifts[v] + 1], system.row(t)))
+        for v, t in targets.items()
+    }
 
 
 def _order_key(*ns: int) -> tuple[int, ...]:

@@ -16,23 +16,26 @@ A search minimizes, over a deterministic low-discrepancy set of
 perturbations and all time shifts within the budget, the max of the
 defining distances of the relation.  The minimum is an upper bound on
 the true infimum: small values are witnesses, large values are
-empirical floors, never proofs of failure.  Pairs are visited in order
-of their perturbation cost.  A pair is first cut by the factor bound:
-the factor map is equivariant onto a rotation, an isometry of the
-circle sup-distance d_Z, and the gauge and the torus metric are at
-least d_Z of the factor coordinates.  So at every time shift the RP and
-RP2 costs are at least d_Z(pi x', pi y'), and the RPDS cost, which
-measures both orbits against y, at least half of it (triangle
-inequality on Z).  A pair whose bound, less a margin for the orbit
-rounding that grows with n_max (see ``_factor_bound``), is at or above
-the best value so far is skipped, and its orbits are not built.
-``cubes._cube_min`` scans each remaining pair's time shifts (k = 1 for
-RP's n, k = 2 for the RP2/RPDS times m, n, m+n) below the best value
-so far.  Its single-axis pruning is exact: only shifts whose own cost
-is below that bound enter the grid, and a pair with none is dropped.
-Neither cut changes the record, because the pair loop only accepts a
-strict improvement and every tie of an improving minimum lies inside
-the scanned part of the grid.
+empirical floors, never proofs of failure.  One search body
+(``_search``) serves all three relations; they differ only in the
+number k of time axes (1 for RP's n, 2 for the RP2/RPDS times m, n,
+m+n) and in what a pair compares.
+
+Pairs are visited in order of their perturbation cost.  A pair is first
+cut by the factor bound: the factor map is equivariant onto a rotation,
+an isometry of the circle sup-distance d_Z, and the gauge and the torus
+metric are at least d_Z of the factor coordinates.  So at every time
+shift the RP and RP2 costs are at least d_Z(pi x', pi y'), and the RPDS
+cost, which measures both orbits against y, at least half of it
+(triangle inequality on Z).  A pair whose bound, less a margin for the
+orbit rounding that grows with n_max (see ``_factor_bound``), is at or
+above the best value so far is skipped, and its tables are not built.
+``cubes._cube_min`` scans each remaining pair's time shifts below the
+best value so far.  Its single-axis pruning is exact: only shifts whose
+own cost is below that bound enter the grid, and a pair with none is
+dropped.  Neither cut changes the record, because the pair loop only
+accepts a strict improvement and every tie of an improving minimum lies
+inside the scanned part of the grid.
 
 Determinism: the perturbation offsets are a Halton point set in group
 coordinates scaled to the perturbation radius, shared between the two
@@ -43,7 +46,8 @@ scanned set grows with n_max, perturb_samples and time_cap_ms, and
 best-so-far retention makes eps_achieved nonincreasing in those
 components; enlarging perturb_radius grows the searched region but
 reshapes the finite sample, so monotonicity in the radius holds only up
-to sampling resolution.
+to sampling resolution.  time_cap_ms is a wall-clock deadline, so a
+record that it cuts short (``exhausted`` False) depends on timing.
 
 The searches are kind-agnostic: perturbations (left translation by the
 offsets), orbits and distances come from the ``systems.System`` of the
@@ -75,6 +79,8 @@ __all__ = [
 _HALTON_PRIMES = (2, 3, 5)
 _SEED_STRIDE = 1 << 20
 SEED_LIMIT = 1 << 43  # seed * _SEED_STRIDE + sample index stays below 2**63
+# Time axes of each relation: RP's shift n; the RP2 and RPDS times m, n (and m+n).
+_AXES = {"RP": 1, "RP2": 2, "RPDS": 2}
 
 
 @dataclass(frozen=True)
@@ -130,33 +136,20 @@ def _halton(index: np.ndarray, base: int) -> np.ndarray:
     return result
 
 
-def _halton_cube(k: int, seed: int, dims: int) -> np.ndarray:
-    # Fixed stride keeps the stream a prefix of itself as k grows, so
-    # enlarging perturb_samples only ever extends the scanned set.
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**43), got {seed}")
-    idx = np.arange(1, k) + seed * _SEED_STRIDE
-    return np.stack([_halton(idx, p) for p in _HALTON_PRIMES[:dims]], axis=-1)
-
-
 def _offsets(system: System, budget: SearchBudget, seed: int) -> np.ndarray:
     """Perturbation offsets: row 0 is zero, the rest fill the radius ball.
 
     A Halton point set in the cube [-r, r]^ndim, moved onto the distance
-    ball of radius r by ``system.ball``.
+    ball of radius r by ``system.ball``.  Each seed owns a fixed stride of
+    the Halton stream, which keeps the set a prefix of itself as
+    perturb_samples grows, so enlarging it only ever extends the scanned set.
     """
-    cube = _halton_cube(budget.perturb_samples, seed, system.ndim)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**43), got {seed}")
+    idx = np.arange(1, budget.perturb_samples) + seed * _SEED_STRIDE
+    cube = np.stack([_halton(idx, p) for p in _HALTON_PRIMES[: system.ndim]], axis=-1)
     pts = system.ball((2.0 * cube - 1.0) * budget.perturb_radius)
     return np.vstack([np.zeros((1, system.ndim)), pts])
-
-
-def _perturbed(spec: SystemSpec, x, y, budget: SearchBudget, seed: int):
-    """The search's system and the coordinates of the perturbed points x', y'."""
-    system = system_for(spec)
-    offsets = _offsets(system, budget, seed)
-    xp = system.translate(offsets, system.row(x, "x"))
-    yp = system.translate(offsets, system.row(y, "y"))
-    return system, xp, yp
 
 
 def _pair_order(bx: np.ndarray, by: np.ndarray):
@@ -208,7 +201,7 @@ def _factor_bound(system, xp, yp, budget, relation):
     (4 k n_max a + 9.5) u, and the margin (k n_max a + 4) * 2**-50 is
     more than twice that (for RPDS, four times the halved slack).
     """
-    k = 1 if relation == "RP" else 2
+    k = _AXES[relation]
     a = max(abs(system.spec.alpha), abs(system.spec.beta))
     margin = (k * budget.n_max * a + 4.0) * 2.0**-50
     bound = RotationSystem.dist(system.factor(xp)[:, None], system.factor(yp)[None])
@@ -218,7 +211,7 @@ def _factor_bound(system, xp, yp, budget, relation):
 def _run_search(system, x, y, xp, yp, budget, relation, pair_objective):
     """Shared scan driver: perturbation pairs in base-cost order, best-so-far.
 
-    ``xp`` and ``yp`` are the perturbed points from ``_perturbed``.
+    ``xp`` and ``yp`` are the coordinates of the perturbed points x', y'.
     ``pair_objective(i, j, bound)`` returns (inner, m, n), or None when it
     can tell that inner >= bound (the best eps so far; inf for the first
     pair), since such a pair cannot improve the record.  A pair whose
@@ -263,52 +256,50 @@ def _run_search(system, x, y, xp, yp, budget, relation, pair_objective):
     )
 
 
-def rp_search(
-    spec: SystemSpec,
-    x,
-    y,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    seed: int = 0,
-) -> WitnessRecord:
-    """Regional-proximality witness: one common shift n brings x', y' together."""
-    system, xp, yp = _perturbed(spec, x, y, budget, seed)
-    N = budget.n_max
-    ns = np.arange(-N, N + 1)
-    orbit_x = functools.cache(lambda i: system.orbit(xp[i], ns))
-    orbit_y = functools.cache(lambda j: system.orbit(yp[j], ns))
+def _search(spec: SystemSpec, x, y, budget: SearchBudget, seed: int, relation: str):
+    """The witness search of a relation, over its k = _AXES[relation] time axes.
+
+    Each perturbed point gets one cached table over the shifts
+    [-k n_max, k n_max]: its orbit for RP and RP2, its return distance to
+    the unperturbed y for RPDS.  A pair's cost at a shift is the distance
+    of the two orbits, or for RPDS the larger of the two returns.
+    """
+    system = system_for(spec)
+    offsets = _offsets(system, budget, seed)
+    xp = system.translate(offsets, system.row(x, "x"))
+    yp = system.translate(offsets, system.row(y, "y"))
+    N, k = budget.n_max, _AXES[relation]
+    span = np.arange(-k * N, k * N + 1)
+    if relation == "RPDS":
+        y_row = system.row(y)
+        table, cost = (lambda p: system.dist(system.orbit(p, span), y_row)), np.maximum
+    else:
+        table, cost = (lambda p: system.orbit(p, span)), system.dist
+    table_x = functools.cache(lambda i: table(xp[i]))
+    table_y = functools.cache(lambda j: table(yp[j]))
 
     def objective(i: int, j: int, bound: float):
-        return _pair_min(system.dist(orbit_x(i), orbit_y(j)), N, 1, bound)
+        return _pair_min(cost(table_x(i), table_y(j)), N, k, bound)
 
-    return _run_search(system, x, y, xp, yp, budget, "RP", objective)
+    return _run_search(system, x, y, xp, yp, budget, relation, objective)
+
+
+def rp_search(
+    spec: SystemSpec, x, y, budget: SearchBudget = DEFAULT_BUDGET, seed: int = 0
+) -> WitnessRecord:
+    """Regional-proximality witness: one common shift n brings x', y' together."""
+    return _search(spec, x, y, budget, seed, "RP")
 
 
 def rp2_search(
-    spec: SystemSpec,
-    x,
-    y,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    seed: int = 0,
+    spec: SystemSpec, x, y, budget: SearchBudget = DEFAULT_BUDGET, seed: int = 0
 ) -> WitnessRecord:
     """Bi-regional-proximality witness: closeness at times m, n and m+n."""
-    system, xp, yp = _perturbed(spec, x, y, budget, seed)
-    N = budget.n_max
-    span2 = np.arange(-2 * N, 2 * N + 1)
-    orbit_x = functools.cache(lambda i: system.orbit(xp[i], span2))
-    orbit_y = functools.cache(lambda j: system.orbit(yp[j], span2))
-
-    def objective(i: int, j: int, bound: float):
-        return _pair_min(system.dist(orbit_x(i), orbit_y(j)), N, 2, bound)
-
-    return _run_search(system, x, y, xp, yp, budget, "RP2", objective)
+    return _search(spec, x, y, budget, seed, "RP2")
 
 
 def rpds_search(
-    spec: SystemSpec,
-    x,
-    y,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    seed: int = 0,
+    spec: SystemSpec, x, y, budget: SearchBudget = DEFAULT_BUDGET, seed: int = 0
 ) -> WitnessRecord:
     """Strong bi-regional-proximality witness: returns to y itself.
 
@@ -316,17 +307,7 @@ def rpds_search(
     at times m, n and m+n, so the per-shift cost is the pointwise max
     of the two return distances.
     """
-    system, xp, yp = _perturbed(spec, x, y, budget, seed)
-    N = budget.n_max
-    span2 = np.arange(-2 * N, 2 * N + 1)
-    y_row = system.row(y)
-    returns_x = functools.cache(lambda i: system.dist(system.orbit(xp[i], span2), y_row))
-    returns_y = functools.cache(lambda j: system.dist(system.orbit(yp[j], span2), y_row))
-
-    def objective(i: int, j: int, bound: float):
-        return _pair_min(np.maximum(returns_x(i), returns_y(j)), N, 2, bound)
-
-    return _run_search(system, x, y, xp, yp, budget, "RPDS", objective)
+    return _search(spec, x, y, budget, seed, "RPDS")
 
 
 def witness_to_cube(

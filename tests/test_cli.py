@@ -379,6 +379,34 @@ class TestProxCommands:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["rp-search", "rp2-search", "rpds-search"])
+    def test_budget_from_config_file(self, tmp_path, capsys, command):
+        pair = ["--x", "0.3,0.4,0.2", "--y", "0.3,0.4,0.7"]
+        budget = {"n_max": 30, "perturb_samples": 6, "perturb_radius": 0.04,
+                  "time_cap_ms": 50000, "seed": 7}
+
+        def search(name, *argv):
+            out = tmp_path / f"{name}.json"
+            assert run([command, *pair, *argv, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        def flags(**changes):
+            items = {**budget, **changes}.items()
+            return [f"--{key.replace('_', '-')}={value}" for key, value in items]
+
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in budget.items()))
+        assert search("config", "--config", str(cfg)) == search("flags", *flags())
+        # A flag wins over the config value.
+        won = search("config-n20", "--config", str(cfg), "--n-max", "20")
+        assert won == search("flags-n20", *flags(n_max=20))
+        assert json.loads(won)["budget"]["n_max"] == 20
+
+        cfg.write_text("n_max = x\n")
+        capsys.readouterr()
+        assert run([command, *pair, "--config", str(cfg)]) == 2
+        assert "n_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rp-search", "rp2-search", "rpds-search"])
     def test_zero_workers_is_usage_error(self, command, capsys):
         code = run([command, "--x", "0.3,0.4,0.2", "--y", "0.3,0.4,0.7", "--workers", "0"])
         assert code == 2

@@ -128,6 +128,31 @@ class TestRP:
         assert record.eps_achieved >= d - 2 * SMALL.perturb_radius - 1e-12
 
 
+class TestRPShift:
+    """RP has one time axis: its record reports m = 0 and the shift in n."""
+
+    @pytest.mark.parametrize(
+        "spec, x, y",
+        [
+            (sy.default_heisenberg(), *fiber_pair(0.5)),
+            (sy.default_heisenberg(), h.NilPoint(0.3, 0.4, 0.2), h.NilPoint(0.6, 0.4, 0.2)),
+            (sy.SystemSpec(kind="torus_rotation", dims=1), sy.TorusPoint((0.1,)), sy.TorusPoint((0.45,))),
+            (sy.SystemSpec(kind="torus_rotation"), sy.TorusPoint((0.1, 0.6)), sy.TorusPoint((0.45, 0.2))),
+        ],
+        ids=["heisenberg-fibre", "heisenberg-mismatch", "torus1", "torus2"],
+    )
+    def test_m_is_zero_and_n_attains_eps(self, spec, x, y):
+        record = px.rp_search(spec, x, y, SMALL)
+        assert record.m == 0
+        assert abs(record.n) <= SMALL.n_max
+        # The objective at the reported shift is the reported eps.
+        system = sy.system_for(spec)
+        xp, yp = system.row(record.x_prime), system.row(record.y_prime)
+        at_n = system.dist(system.orbit(xp, record.n), system.orbit(yp, record.n))
+        base = max(system.dist(xp, system.row(x)), system.dist(yp, system.row(y)))
+        assert max(float(base), float(at_n)) == record.eps_achieved
+
+
 class TestRP2:
     def test_positive_floor_on_distinct_points(self, spec):
         x, y = fiber_pair(0.5)
