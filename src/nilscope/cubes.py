@@ -36,12 +36,24 @@ objective is at least each of its single-axis lookups D_1[m], D_2[n],
 D_4[p], so an axis value whose lookup is at or above the bound cannot
 lie under any cell below it, and an axis left empty ends the scan
 before any block is formed.  The early exit takes resid_tol as the
-bound; the argmin takes the best objective over each axis's 12 smallest
-lookups, which keeps every cell tied at the minimum.  The kept sub-grid
-is scanned in sequential blocks of about 2**21 cells, on one thread.
-The tie-break takes, in each block, the first qualifying cell of the
-smallest shell; with ascending axes the block's cells are in
-lexicographic order, so no cell is sorted.
+bound; the argmin takes the next float above U, the best objective over
+each axis's 12 smallest lookups, which keeps every cell tied at the
+minimum.  The kept sub-grid is scanned in blocks of about 2**21 cells,
+on one thread.  The tie-break takes, in each block, the first
+qualifying cell of the smallest shell; a block's axes ascend, so its
+cells are in lexicographic order and no cell is sorted.  The early exit
+feeds m to the blocks in order of |m|, and stops once every m left lies
+beyond the best shell.
+
+A table entry holds a floor, the kind's bit-exact lower bound on the
+distance (on X the circle distance of the factor coordinates), until a
+query's bound lies above it and it is filled: below resid_tol for the
+early exit; for U each single-axis table and the seed grid's entries;
+below twice the residual for the spread.  A cell that reads a floor is
+at or above the bound, so every query keeps the cells that exact tables
+would.  The argmin scan reads floors below its bound too; floors only
+under-estimate, so a winner that reads none is the exact argmin, and
+otherwise the entries below the bound are filled and the scan repeated.
 
 The module is kind-agnostic: orbits, distances and factor coordinates
 come from the ``systems.System`` of the spec, so the same code serves
@@ -321,20 +333,50 @@ def euclid_perm_oct(o: Oct, perm_id: int) -> Oct:
 # Parallelepiped witness search
 # ---------------------------------------------------------------------------
 
-def _build_tables(system: System, base, targets: dict[int, object], horizon: int):
-    """Distance tables per vertex, keyed by vertex index; value (offset, D).
+class _Tables(dict):
+    """Tables {v: (offset, D)}, each D a row of one (vertex, shift) array of floors.
 
-    D[s + offset] is the distance from T^s base to the vertex's target,
-    |s| <= offset.  One orbit of base, over the widest offset, serves
-    every vertex through its slice.
+    An entry is exact once filled (see module docs); each fill is one call.
     """
-    shifts = vertex_shifts((horizon,) * 3)
-    top = max(shifts[v] for v in targets)
-    orbit = system.orbit(system.row(base), np.arange(-top, top + 1))
-    return {
-        v: (shifts[v], system.dist(orbit[top - shifts[v] : top + shifts[v] + 1], system.row(t)))
-        for v, t in targets.items()
-    }
+
+    def __init__(self, system: System, base, targets: dict[int, object], horizon: int):
+        shifts = vertex_shifts((horizon,) * 3)
+        offs = [shifts[v] for v in targets]
+        self.top, self.dist = max(offs), system.dist
+        span = np.arange(-self.top, self.top + 1)
+        self.orbit = system.orbit(system.row(base), span)
+        self.rows = np.array([system.row(t) for t in targets.values()])
+        self.D = system.floor(self.orbit, self.rows[:, None])
+        # Entries still at their floor; a torus floor is its distance.
+        self.todo = (np.abs(span) <= np.array(offs)[:, None]) & (system.floor is not system.dist)
+        super().__init__((v, (off, self.D[i, self.top - off : self.top + off + 1]))
+                         for i, (v, off) in enumerate(zip(targets, offs)))
+
+    def fill(self, where):
+        """Make exact, in one distance call, the entries of a (vertex, shift) mask."""
+        i, j = np.nonzero(self.todo & where)
+        if len(i):
+            self.D[i, j] = self.dist(self.orbit[j], self.rows[i])
+            self.todo[i, j] = False
+
+    def fill_rows(self, vertices, width: int):
+        """Make exact the entries |s| <= width of whole tables, in one broadcast call."""
+        i = [k for k, v in enumerate(self) if v in vertices]
+        cols = slice(self.top - width, self.top + width + 1)
+        self.D[i, cols] = self.dist(self.orbit[cols], self.rows[i, None])
+        self.todo[i, cols] = False
+
+    def exact_at(self, ns) -> bool:
+        """Whether every lookup of the cell ns reads an exact entry."""
+        shifts = vertex_shifts(ns)
+        return not any(self.todo[i, shifts[v] + self.top] for i, v in enumerate(self))
+
+
+def _build_tables(system: System, base, targets: dict[int, object], horizon: int, bound=np.inf):
+    """Distance tables per vertex, exact wherever the floor is below bound (see _Tables)."""
+    tables = _Tables(system, base, targets, horizon)
+    tables.fill(tables.D < bound)
+    return tables
 
 
 def _order_key(*ns: int) -> tuple[int, ...]:
@@ -363,21 +405,23 @@ def _prune_axes(tables, axes, bound: float):
     return kept
 
 
-def _cube_blocks(tables, kept):
+def _cube_blocks(tables, kept, sort: bool = False):
     """Yield (grids, objective) for blocks of about _GRID_CHUNK cells of the grid.
 
-    Blocks cut kept[0]; grids[j] is the block's axis j shaped to broadcast.
+    Blocks cut kept[0] (each cut sorted with ``sort``); grids[j] is the
+    block's axis j shaped to broadcast.
     A cell's objective is max_v D_v[vertex_shifts(ns)[v] + off_v] over the
     tables {v: (off_v, D_v)}; each vertex gathers only over its bits' axes,
-    and only the shifts of the tables' vertices are formed.  Cells come in
-    lexicographic order of the axes' entries.  No block when kept is None.
+    and only the shifts of the tables' vertices are formed.  A block's
+    cells come in lexicographic order.  No block when kept is None.
     """
     if kept is None:
         return
     k = len(kept)
     rows = max(1, _GRID_CHUNK // math.prod(len(a) for a in kept[1:]))
     for i in range(0, len(kept[0]), rows):
-        block = [kept[0][i : i + rows], *kept[1:]]
+        head = kept[0][i : i + rows]
+        block = [np.sort(head) if sort else head, *kept[1:]]
         grids = [a.reshape((1,) * j + (-1,) + (1,) * (k - 1 - j)) for j, a in enumerate(block)]
         obj = None
         for v, (off, D) in tables.items():
@@ -397,19 +441,24 @@ def _cube_min(tables, axes, bound: float = np.inf, first: bool = False):
     cells then come in lexicographic order, so its candidate is the
     first qualifying cell on the smallest shell, and nothing is sorted.
     """
-    best, best_key = None, None
-    for grids, obj in _cube_blocks(tables, _prune_axes(tables, axes, bound)):
+    kept = _prune_axes(tables, axes, bound)
+    if first and kept is not None:
+        kept[0] = kept[0][np.argsort(np.abs(kept[0]), kind="stable")]
+    best, best_key, seen = None, None, 0
+    for grids, obj in _cube_blocks(tables, kept, sort=first):
+        seen += obj.shape[0]
         vmin = obj.min()
-        if not vmin < bound:
-            continue
-        shell = sum(np.abs(g) for g in grids)
-        shell[obj >= bound if first else obj != vmin] = np.iinfo(np.int64).max
-        at = np.unravel_index(shell.argmin(), obj.shape)
-        cell = tuple(int(g.ravel()[c]) for g, c in zip(grids, at))
-        val = float(obj[at])
-        key = _order_key(*cell) if first else (val, _order_key(*cell))
-        if best is None or key < best_key:
-            best, best_key = (val, cell), key
+        if vmin < bound:
+            shell = sum(np.abs(g) for g in grids)
+            shell[obj >= bound if first else obj != vmin] = np.iinfo(np.int64).max
+            at = np.unravel_index(shell.argmin(), obj.shape)
+            cell = tuple(int(g.ravel()[c]) for g, c in zip(grids, at))
+            val = float(obj[at])
+            key = _order_key(*cell) if first else (val, _order_key(*cell))
+            if best is None or key < best_key:
+                best, best_key = (val, cell), key
+        if first and best is not None and seen < len(kept[0]) and abs(kept[0][seen]) > best_key[0]:
+            break
     return best
 
 
@@ -434,26 +483,30 @@ def _cells_below(tables, horizon: int, threshold: float, cap: int):
 
 
 def _search(system, base, targets, horizon, resid_tol):
-    """Shared search core; returns (residual, (m, n, p), early_exit, tables).
-
-    The first cell below resid_tol in shell order is an early exit.
-    Otherwise the argmin is scanned below the next float above U, the
-    best objective over each axis's 12 smallest single-axis lookups: U
-    is at least the minimum, and every cell tied at the minimum stays.
-    """
+    """Shared search core (see module docs); returns (residual, (m, n, p), early_exit, tables)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    tables = _build_tables(system, base, targets, horizon)
+    tables = _build_tables(system, base, targets, horizon, resid_tol)
     span = np.arange(-horizon, horizon + 1)
     hit = _cube_min(tables, [span] * 3, resid_tol, first=True)
     if hit is not None:
         return *hit, True, tables
+    tables.fill_rows((1, 2, 4), horizon)
     seed = []
     for j in range(3):
         off, D = tables[1 << j]
         seed.append(np.sort(span[np.argsort(D[span + off])[:12]]))
-    U = _cube_min(tables, seed)[0]
-    return *_cube_min(tables, [span] * 3, np.nextafter(U, np.inf)), False, tables
+    where = np.zeros_like(tables.todo)
+    touched = vertex_shifts((seed[0][:, None, None], seed[1][:, None], seed[2]))
+    for i, v in enumerate(tables):
+        where[i, np.ravel(touched[v]) + tables.top] = True
+    tables.fill(where)
+    bound = np.nextafter(_cube_min(tables, seed)[0], np.inf)
+    best = _cube_min(tables, [span] * 3, bound)
+    if not tables.exact_at(best[1]):
+        tables.fill(tables.D < bound)
+        best = _cube_min(tables, [span] * 3, bound)
+    return *best, False, tables
 
 
 def pped_search(
@@ -517,6 +570,7 @@ def pped_complete(
     # Uniqueness diagnostic: completions from all witnesses within twice
     # the best residual; None when they are too many to enumerate.
     threshold = max(2.0 * residual, 1e-12)
+    tables.fill(tables.D < threshold)
     near = _cells_below(tables, horizon, threshold, cap=4096)
     spread = None
     if near is not None:

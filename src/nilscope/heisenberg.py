@@ -30,7 +30,9 @@ the regional-proximality machinery needs.  It is *not* a geodesic metric,
 and its triangle inequality is not relied upon anywhere.  It is at least
 the circle sup-distance of the factor coordinates (x, y), to a few ulps
 in float64, since the first two coordinates of p * (q * gamma)^{-1} are
-lifts of their difference and the norm takes their absolute values.
+lifts of their difference and the norm takes their absolute values;
+``floor_arr`` forms those lifts in ``dist_arr``'s own float operations,
+so its factor floor is at most the gauge bit for bit, with no margin.
 The witness searches bound pairs by that factor distance and, for RPDS,
 use the triangle inequality of the torus sup metric on the factor,
 never that of the gauge.  Left translation (the dynamics) is
@@ -62,6 +64,7 @@ __all__ = [
     "inv_arr",
     "reduce_arr",
     "dist_arr",
+    "floor_arr",
     "dist_point",
 ]
 
@@ -224,6 +227,17 @@ def dist_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     np.maximum(n, np.abs(ux), out=n)
     np.maximum(n, np.abs(uy), out=n)
     return n.min(axis=-1)
+
+
+def floor_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """max(min_a |ux_a|, min_b |uy_b|), which every gauge candidate is at least."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    out = []
+    for c in (0, 1):
+        lift = [np.abs(p[..., c] + (-(q[..., c] + a))) for a in (-1.0, 0.0, 1.0)]
+        out.append(np.minimum(np.minimum(lift[0], lift[1], out=lift[0]), lift[2], out=lift[0]))
+    return np.maximum(out[0], out[1], out=out[0])
 
 
 def dist_point(points: np.ndarray, q: NilPoint) -> np.ndarray:

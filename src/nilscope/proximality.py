@@ -168,8 +168,10 @@ def _pair_min(f: np.ndarray, n_max: int, k: int, bound: float = np.inf):
 
     ``f`` covers shifts [-k n_max, k n_max] and serves every vertex of the
     cube scan: k = 1 is RP's shift n, k = 2 the RP2/RPDS times m, n, m+n.
-    Returns (inner, m, n), m = 0 for k = 1, ties resolved by
-    (|m| + |n|, m, n); None unless the minimum is below bound.
+    Returns (inner, m, n), m = 0 for k = 1, ties of the computed costs
+    resolved by (|m| + |n|, m, n); None unless the minimum is below bound.
+    On a torus rotation every shift has the same exact cost, but the
+    computed costs round apart, so m and n are float noise among them.
     """
     tables = dict.fromkeys(range(1, 1 << k), (k * n_max, f))
     hit = _cube_min(tables, [np.arange(-n_max, n_max + 1)] * k, bound)

@@ -22,13 +22,13 @@ coordinate arrays of shape (..., ndim): ``powers(ns)`` gives the group
 elements of T^n, ``translate(g, coords)`` translates on the left by g
 and reduces (so ``orbit(coords, ns)`` is ``translate(powers(ns), coords)``
 and the proximality perturbations are ``translate(offsets, coords)``),
-``dist`` is the gauge or the sup circle distance, ``factor`` gives the
-maximal equicontinuous factor, ``ball`` moves a cube onto the distance
-ball of the same radius, ``character`` evaluates e(k1 x + k2 y) on the
-factor, and ``row``/``point`` convert points.  The scalar functions
-(``step``, ``translate``, ``rotation_step``, ``torus_dist``, ...) are
-thin wrappers over these kernels, so they agree with the array forms bit
-for bit.
+``dist`` is the gauge or the sup circle distance, ``floor`` a bit-exact
+lower bound on it (``dist`` itself on tori), ``factor`` gives the maximal
+equicontinuous factor, ``ball`` moves a cube onto the distance ball of
+the same radius, ``character`` evaluates e(k1 x + k2 y) on the factor,
+and ``row``/``point`` convert points.  The scalar functions (``step``,
+``translate``, ``rotation_step``, ``torus_dist``, ...) are thin wrappers
+over these kernels, so they agree with the array forms bit for bit.
 
 Default parameters alpha = sqrt(2)-1, beta = sqrt(3)-1 make 1, alpha,
 beta rationally independent at machine precision, hence a minimal base
@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heisenberg import GroupElement, NilPoint, dist_arr, mul_arr, reduce_arr
+from .heisenberg import GroupElement, NilPoint, dist_arr, floor_arr, mul_arr, reduce_arr
 
 __all__ = [
     "SystemSpec",
@@ -168,7 +168,7 @@ class System:
 
     Subclasses provide ``kind``, ``point_type``, ``ndim``, ``central``
     (whether coordinates end with a central coordinate), ``powers``,
-    ``translate``, ``dist``, ``point`` and ``character``.
+    ``translate``, ``dist``, ``floor``, ``point`` and ``character``.
     """
 
     kind: str
@@ -216,6 +216,7 @@ class HeisenbergSystem(System):
     ndim = 3
     central = True
     dist = staticmethod(dist_arr)
+    floor = staticmethod(floor_arr)
 
     def powers(self, ns) -> np.ndarray:
         """Closed-form t^n for an array of integers n; shape ns.shape + (3,)."""
@@ -279,6 +280,8 @@ class RotationSystem(System):
         delta = a - b
         frac = delta - np.floor(delta)
         return np.minimum(frac, 1.0 - frac).max(axis=-1)
+
+    floor = dist
 
     @staticmethod
     def point(row) -> TorusPoint:

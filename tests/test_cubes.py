@@ -367,6 +367,165 @@ class TestPrunedSearchOracle:
                             assert got == (residual, mnp, early)
 
 
+class TestShellOutward:
+    """The early exit feeds m by |m| and stops once every m left lies beyond the hit."""
+
+    @staticmethod
+    def count_blocks(monkeypatch):
+        blocks = []
+        scan = cb._cube_blocks
+
+        def counted(*args, **kwargs):
+            for block in scan(*args, **kwargs):
+                blocks.append(block[1].size)
+                yield block
+
+        monkeypatch.setattr(cb, "_cube_blocks", counted)
+        return blocks
+
+    def test_member_witness_at_origin_takes_one_block(self, spec, rng, monkeypatch):
+        o = cb.sample_pped(spec, random_point(rng), 17, -40, 91)
+        blocks = self.count_blocks(monkeypatch)
+        w = cb.pped_search(spec, o, horizon=200, resid_tol=1.0)
+        assert (w.m, w.n, w.p, w.early_exit) == (0, 0, 0, True)
+        assert len(blocks) == 1
+
+    def test_far_shell_against_shell_order(self, rng, monkeypatch):
+        H = 24
+        shifts = cb.vertex_shifts((H,) * 3)
+        tables = {v: (shifts[v], rng.random(2 * shifts[v] + 1)) for v in range(1, 8)}
+        # No cell with |n| <= 5 or |p| <= 5 is below 1, so hits lie on shells
+        # >= 12; small m lookups keep most m, out to |m| = H.
+        for v in (2, 4):
+            tables[v][1][H - 5 : H + 6] += 1.0
+        tables[1][1][:] *= 0.2
+        axes = [np.arange(-H, H + 1)] * 3
+        grid = np.meshgrid(*axes, indexing="ij")
+        objective = np.max([D[s + off] for (off, D), s in
+                            zip(tables.values(), cb.vertex_shifts(grid)[1:])], axis=0)
+        for quantile in (1e-3, 1e-2, 0.05):
+            tol = float(np.quantile(objective, quantile))
+            want = TestPrunedSearchOracle.brute_force(tables, H, tol)
+            shell = sum(map(abs, want[1]))
+            assert want[2] and shell >= 12
+            assert cb._cube_min(tables, axes, tol, True) == want[:2]
+            with monkeypatch.context() as mp:
+                blocks = self.count_blocks(mp)
+                mp.setattr(cb, "_GRID_CHUNK", 1)  # one m per block
+                assert cb._cube_min(tables, axes, tol, True) == want[:2]
+            kept = [m for m in range(-H, H + 1) if tables[1][1][m + H] < tol]
+            assert len(blocks) == sum(abs(m) <= shell for m in kept) < len(kept)
+
+
+class TestFloorTablesOracle:
+    """Searches on floor tables equal the same queries on fully exact tables."""
+
+    SPECS = [sy.default_heisenberg(), sy.SystemSpec(kind="torus_rotation")]
+
+    @staticmethod
+    def exact_tables(system, base, targets, H):
+        # One distance call per vertex over its own orbit: no floor, no fill.
+        shifts = cb.vertex_shifts((H,) * 3)
+        base = system.row(base)
+        return {
+            v: (off, system.dist(system.orbit(base, np.arange(-off, off + 1)), system.row(t)))
+            for v, t in targets.items()
+            for off in [shifts[v]]
+        }
+
+    @staticmethod
+    def search(tables, H, resid_tol):
+        span = np.arange(-H, H + 1)
+        hit = cb._cube_min(tables, [span] * 3, resid_tol, True)
+        if hit is not None:
+            return *hit, True
+        return *cb._cube_min(tables, [span] * 3), False
+
+    def completion(self, spec, seven, H, resid_tol):
+        system = sy.system_for(spec)
+        base = system.row(seven[0])
+        tables = self.exact_tables(system, seven[0], {v: seven[v] for v in range(1, 7)}, H)
+        residual, mnp, _ = self.search(tables, H, resid_tol)
+        x7 = system.orbit(base, sum(mnp))
+        near = cb._cells_below(tables, H, max(2.0 * residual, 1e-12), 4096)
+        spread = None
+        if near is not None:
+            alts = system.orbit(base, np.array([sum(c) for c in near], dtype=np.int64))
+            spread = float(system.dist(x7, alts).max(initial=0.0))
+        status = "ok" if residual < resid_tol else "inconclusive"
+        return cb.CompletionResult(system.point(x7), residual, mnp, spread, status)
+
+    @staticmethod
+    def octuples(spec, rng, H):
+        """Member, displaced (v6 and v7 moved) and random octuples."""
+        system = sy.system_for(spec)
+        heis = spec.kind == "heisenberg"
+        base = system.point(rng.random(system.ndim))
+        mnp = (int(v) for v in rng.integers(-H, H + 1, 3))
+        rows = [system.row(v) for v in cb.sample_pped(spec, base, *mnp).vertices]
+        # On X only the central coordinates move, so every face stays exact
+        # and the completion runs; on a torus v6 and the random points
+        # fail a face, and only the search runs.
+        move = np.array([0.0, 0.0, 1.0]) if heis else np.ones(system.ndim)
+        displaced = rows[:6] + [(rows[6] + 0.3 * move) % 1.0, (rows[7] + 0.4 * move) % 1.0]
+        scrambled = [np.append(r[:2], rng.random()) if heis else rng.random(system.ndim)
+                     for r in rows]
+        return {name: [system.point(r) for r in rs]
+                for name, rs in (("member", rows), ("displaced", displaced), ("random", scrambled))}
+
+    def test_argmin_reading_a_floor_is_refilled(self, spec, rng, monkeypatch):
+        """At H=200 the argmin of a displaced octuple can read an entry still at
+        its floor; the search then fills below its bound and scans again."""
+        system, H = sy.system_for(spec), 200
+        span = np.arange(-H, H + 1)
+        exact_at, reads_floor = cb._Tables.exact_at, []
+
+        def probe(tables, ns):
+            reads_floor.append(not exact_at(tables, ns))
+            return not reads_floor[-1]
+
+        monkeypatch.setattr(cb._Tables, "exact_at", probe)
+        for _ in range(8):
+            mnp = (int(x) for x in rng.integers(-50, 51, 3))
+            o = cb.sample_pped(spec, random_point(rng), *mnp)
+            v7 = h.NilPoint(o.v7.x, o.v7.y, (o.v7.z + rng.uniform(0.25, 0.5)) % 1.0)
+            o = cb.Oct(*o.vertices[:7], v7)
+            exact = self.exact_tables(system, o.v0, {v: o.vertices[v] for v in range(1, 8)}, H)
+            # The argmin on exact tables, below the next float above the seed grid's best.
+            seed = [np.sort(span[np.argsort(exact[1 << j][1][span + H])[:12]]) for j in range(3)]
+            bound = np.nextafter(cb._cube_min(exact, seed)[0], np.inf)
+            w = cb.pped_search(spec, o, H)
+            want = (*cb._cube_min(exact, [span] * 3, bound), False)
+            assert (w.residual, (w.m, w.n, w.p), w.early_exit) == want
+        assert any(reads_floor) and not all(reads_floor)
+
+    def test_matches_exact_tables(self, rng):
+        inconclusive_spreads = 0
+        for spec in self.SPECS:
+            system = sy.system_for(spec)
+            for H in (3, 15, 60):
+                for name, o in self.octuples(spec, rng, H).items():
+                    targets = {v: o[v] for v in range(1, 8)}
+                    exact = self.exact_tables(system, o[0], targets, H)
+                    built = cb._build_tables(system, o[0], targets, H)
+                    assert all(np.array_equal(built[v][1], exact[v][1]) for v in targets)
+                    for resid_tol in (1e-3, 0.05, 1.0):
+                        w = cb.pped_search(spec, cb.Oct(*o), H, resid_tol)
+                        got = w.residual, (w.m, w.n, w.p), w.early_exit
+                        want = self.search(exact, H, resid_tol)
+                        assert got == want, (spec.kind, name, H, resid_tol)
+                        seven = o[:7]
+                        if any(not cb.pgram_residual(cb.Quad(*(seven[i] for i in ids))) < 1e-6
+                               for _, ids in cb.COMPLETION_FACES):
+                            continue
+                        res = cb.pped_complete(spec, seven, H, resid_tol=resid_tol)
+                        assert res == self.completion(spec, seven, H, resid_tol)
+                        if 2 * res.residual > resid_tol and res.spread is not None:
+                            inconclusive_spreads += 1
+        # The spread's fill above resid_tol was checked.
+        assert inconclusive_spreads
+
+
 class TestRotationCrossCheck:
     def test_formula_membership_agrees_with_residual(self, rng):
         rot = sy.SystemSpec(kind="torus_rotation", alpha=sy.DEFAULT_ALPHA, beta=sy.DEFAULT_BETA)

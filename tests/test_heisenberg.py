@@ -235,3 +235,30 @@ class TestGaugeOracle:
         p = rng.random((500, 3))
         q = rng.random(3)
         assert np.array_equal(h.dist_arr(p, q), window_gauge(p, q))
+
+
+class TestFloor:
+    """floor_arr is at most the gauge bit for bit: it needs no margin."""
+
+    def check(self, p, q):
+        floor, gauge = h.floor_arr(p, q), h.dist_arr(p, q)
+        assert np.all(floor <= gauge)
+        # Equal wherever the gauge's candidate is decided by |ux| or |uy|,
+        # so a floor raised by one ulp fails above.
+        assert np.any(floor == gauge)
+
+    def test_random_pairs(self, rng):
+        self.check(rng.random((100_000, 3)), rng.random((100_000, 3)))
+
+    def test_edge_pairs(self):
+        # Coordinate 0, the largest double below 1, px == qx, and
+        # |px - qx| = 0.5 (0 against 0.5, 0.25 against 0.75).
+        vals = np.array([0.0, 1e-12, 0.25, 0.5, 0.75, h._BELOW_ONE])
+        grid = np.stack(np.meshgrid(*[vals] * 6, indexing="ij"), axis=-1).reshape(-1, 6)
+        self.check(grid[:, :3], grid[:, 3:])
+
+    def test_broadcast_targets(self, rng):
+        # The cube tables' layout: one orbit against a column of targets.
+        p, q = rng.random((300, 3)), rng.random((7, 1, 3))
+        assert np.array_equal(h.floor_arr(p, q), np.stack([h.floor_arr(p, t[0]) for t in q]))
+        self.check(p, q)

@@ -200,6 +200,16 @@ class TestSystemProtocol:
             rhs = rot.orbit(system.factor(row), ns)
             assert rot.dist(lhs, rhs).max() < 1e-12
 
+    def test_floor_bounds_dist(self, kind, rng):
+        _, system, rows = self.make(kind, rng, k=10_000)
+        other = rng.random(rows.shape)
+        floor, dist = system.floor(rows, other), system.dist(rows, other)
+        assert np.all(floor <= dist)
+        if kind == "torus_rotation":
+            # On a torus the floor is the distance: every table entry is exact.
+            assert system.floor is system.dist
+            assert np.array_equal(floor, dist)
+
     def test_dist_symmetric_and_zero_on_diagonal(self, kind, rng):
         _, system, rows = self.make(kind, rng, k=10_000)
         other = rng.random(rows.shape)
