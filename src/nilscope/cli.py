@@ -59,13 +59,14 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to path, in order, through a temp file and a rename."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -75,33 +76,56 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+# Pieces per "".join of a written report: large reports go out in chunks
+# of bounded size, never as one string spliced into another.
+_CHUNK = 65536
+
 # json's text for the floats that float.__repr__ writes otherwise.
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _violations_json(columns: regularity.ViolationColumns, indent: str) -> str:
-    """The violation list as json.dumps(sort_keys=True, indent=2) writes it
-    under a key indented by ``indent``, filled in from the columns with one
-    per-item template."""
+def _column_text(col: np.ndarray, fmt) -> list[str]:
+    """fmt of every entry of col, called once per distinct bit pattern (so -0.0 is not 0.0)."""
+    _, first, inverse = np.unique(col.view(f"i{col.itemsize}"), return_index=True, return_inverse=True)
+    texts = np.array([fmt(v) for v in col[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _row_chunks(columns: list[list[str]], heads: list[str], first: str, end: str):
+    """Rows of pieces heads[c], columns[c][row] for every column c, joined
+    ``_CHUNK`` pieces at a time; ``first`` stands for heads[0] in the first
+    row and ``end`` closes the last."""
+    count, stride = len(columns[0]), 2 * len(columns)
+    pieces = [""] * (stride * count) + [end]
+    for c, (head, texts) in enumerate(zip(heads, columns)):
+        pieces[2 * c : -1 : stride] = [head] * count
+        pieces[2 * c + 1 : -1 : stride] = texts
+    pieces[0] = first
+    for i in range(0, len(pieces), _CHUNK):
+        yield "".join(pieces[i : i + _CHUNK])
+
+
+def _violations_json(columns: regularity.ViolationColumns, indent: str):
+    """Chunks of the violation list as json.dumps(sort_keys=True, indent=2)
+    writes it under a key indented by ``indent``."""
     if not len(columns):
-        return "[]"
-    gaps = list(map(float.__repr__, columns.gap.tolist()))
-    if not np.isfinite(columns.gap).all():
-        gaps = [_JSON_NONFINITE.get(g, g) for g in gaps]
-    shifts = columns.shifts.T.tolist()
-    values = ["%s"] * (2 + len(shifts)) + ["null"] * (3 - len(shifts))  # order 1: no p
+        return ["[]"]
+    shifts = [_column_text(col, str) for col in columns.shifts.T]
+    gaps = _column_text(columns.gap, lambda g: _JSON_NONFINITE.get(repr(g), repr(g)))
+    texts = [gaps, _column_text(columns.k, str), *shifts]
     inner = f"{indent}    "
-    lines = ",\n".join(f'{inner}"{key}": {v}' for key, v in zip(("gap", "k", "m", "n", "p"), values))
-    item = f"{indent}  {{\n{lines}\n{indent}  }}"
-    body = ",\n".join([item % row for row in zip(gaps, columns.k.tolist(), *shifts)])
-    return f"[\n{body}\n{indent}]"
+    tail = f",\n{inner}\"p\": null" if len(shifts) == 2 else ""  # order 1: no p
+    tail += f"\n{indent}  }}"
+    opening = f"{indent}  {{\n{inner}\"gap\": "
+    heads = [f"{tail},\n{opening}"] + [f',\n{inner}"{key}": ' for key in ("k", "m", "n", "p")]
+    return _row_chunks(texts, heads, f"[\n{opening}", f"{tail}\n{indent}]")
 
 
-def _dump_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+def _json_chunks(obj):
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` in chunks.
 
     json writes everything but violation columns, which stand in it as
-    placeholders that the template writer then replaces.
+    placeholders; the columns' chunks go out in their place.
     """
     spliced = []
 
@@ -112,13 +136,20 @@ def _dump_json(obj) -> str:
         return f"\0violations {len(spliced)}"
 
     text = json.dumps(obj, sort_keys=True, indent=2, default=placeholder) + "\n"
+    done = 0
     for i, columns in enumerate(spliced, start=1):
         mark = f'"\\u0000violations {i}"'
-        at = text.index(mark)
+        at = text.index(mark, done)
         key = text[text.rfind("\n", 0, at) + 1 : at]  # '<indent>"violations": '
-        indent = key[: len(key) - len(key.lstrip(" "))]
-        text = text[:at] + _violations_json(columns, indent) + text[at + len(mark) :]
-    return text
+        yield text[done:at]
+        yield from _violations_json(columns, key[: len(key) - len(key.lstrip(" "))])
+        done = at + len(mark)
+    yield text[done:]
+
+
+def _dump_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
+    return "".join(_json_chunks(obj))
 
 
 def _load_config(path: str | None) -> dict:
@@ -263,12 +294,10 @@ def _workers_from(res: _Resolver) -> int:
 
 def _emit(payload: dict, res: _Resolver, summary: str) -> None:
     out = res.get("out", None, str)
-    to_stdout = getattr(res.args, "json", False)
-    text = _dump_json(payload) if out or to_stdout else None
     if out:
-        _atomic_write(out, text)
-    if to_stdout:
-        sys.stdout.write(text)
+        _atomic_write(out, _json_chunks(payload))
+    if getattr(res.args, "json", False):
+        sys.stdout.writelines(_json_chunks(payload))
     else:
         print(summary)
 
@@ -312,7 +341,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         sample = nilsequence.generate(spec, obs, N)
 
     text = sample.to_json() if fmt == "json" else sample.to_csv()
-    _atomic_write(out, text)
+    _atomic_write(out, [text])
     bound = float(np.abs(sample.values).max())
     summary = (
         f"wrote {len(sample.values)} samples (n in [{sample.n_min}, {sample.n_max}]) "
@@ -349,12 +378,15 @@ def _grid_list(raw, cast):
     return [cast(p) for p in raw]
 
 
-def _violations_csv(columns: regularity.ViolationColumns) -> str:
-    """Rows k,m,n,p,gap under a header; p is empty at order 1, gap is repr(float)."""
-    shifts = columns.shifts.T.tolist()
-    row = "%s," * (1 + len(shifts)) + "," * (3 - len(shifts)) + "%s\n"
-    gaps = map(float.__repr__, columns.gap.tolist())
-    return "".join(["k,m,n,p,gap\n", *(row % r for r in zip(columns.k.tolist(), *shifts, gaps))])
+def _violations_csv(columns: regularity.ViolationColumns):
+    """Chunks of rows k,m,n,p,gap under a header; p is empty at order 1, gap is repr(float)."""
+    header = "k,m,n,p,gap\n"
+    if not len(columns):
+        return [header]
+    shifts = [_column_text(col, str) for col in columns.shifts.T]
+    texts = [_column_text(columns.k, str), *shifts, _column_text(columns.gap, float.__repr__)]
+    heads = ["\n"] + [","] * len(shifts) + [",," if len(shifts) == 2 else ","]
+    return _row_chunks(texts, heads, header, "\n")
 
 
 def cmd_regtest(args: argparse.Namespace) -> int:

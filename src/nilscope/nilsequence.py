@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,26 +114,22 @@ class SequenceSample:
 
     @classmethod
     def from_csv(cls, text: str, meta: dict | None = None) -> "SequenceSample":
+        """Rows n,re,im under that header, in any order of n: one ``np.loadtxt``
+        call, or on any error or warning the row loop, which names the line."""
         lines = text.splitlines()
         if not lines or lines[0].strip().lower() != "n,re,im":
             raise ValueError("line 1: expected header 'n,re,im'")
-        ns, vals = [], []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                ns.append(int(parts[0]))
-                vals.append(complex(float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        if not ns:
-            raise ValueError("no data rows")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1, dtype=_CSV_ROW)
+            ns, vals = rows["n"], rows["re"].astype(np.complex128)
+            vals.imag = rows["im"]
+        except Exception:  # the row loop names the line, or reads what loadtxt refuses
+            ns, vals = _parse_rows(lines)
         order = np.argsort(ns)
-        ns = np.asarray(ns)[order]
-        vals = np.asarray(vals)[order]
+        ns = ns[order]
+        vals = vals[order]
         if not np.array_equal(np.diff(ns), np.ones(len(ns) - 1, dtype=ns.dtype)):
             raise ValueError("indices must form a contiguous ascending range")
         return cls(values=vals, n_min=int(ns[0]), meta=dict(meta or {}))
@@ -150,6 +147,28 @@ class SequenceSample:
         payload = json.loads(text)
         vals = np.array([complex(re, im) for re, im in payload["values"]])
         return cls(values=vals, n_min=int(payload["n_min"]), meta=payload.get("meta", {}))
+
+
+_CSV_ROW = np.dtype([("n", np.int64), ("re", np.float64), ("im", np.float64)])
+
+
+def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The data rows of a sequence CSV, one line at a time; errors name the line."""
+    ns, vals = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            ns.append(int(parts[0]))
+            vals.append(complex(float(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not ns:
+        raise ValueError("no data rows")
+    return np.asarray(ns), np.asarray(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ clipped so every accessed index exists; there is no wraparound or
 padding.  Reports expose the number of hypothesis-satisfying tuples so
 vacuous passes are visible.
 
-Engine: for each shift s the hypothesis condition defines a boolean
-mask over k, computed in one pass: a difference array, a prefix count
-of its entries >= delta, and a window-difference of that count (a
-window passes when it holds no such entry).  Masks are built once per
-shift value, packed into byte arrays, and combined per shift tuple with
+Engine: one table per threshold t (delta, eps) holds |u_{i+q} - u_i| >= t
+for q in [0, (d+1)S], one difference row per q; a shift s < 0 reads row
+|s| moved back by |s|.  The hypothesis mask of a shift s over k is a
+window test on row |s| of the delta table (a prefix count, equal at both
+window ends), packed into bytes; masks combine per shift tuple with
 bitwise ANDs, so the per-tuple work is a handful of vectorized byte
-operations instead of a loop over k and i.
+operations.  ``calibrate`` builds the tables once for its whole grid.
 
 An order-d shift tuple sits on the cube {0,1}^(d+1) as a parallelepiped
 does (``cubes.vertex_shifts``): hypotheses at every vertex but 0 and the
@@ -211,6 +211,34 @@ def _effective_k_range(u: SequenceSample, params: RegularityParams) -> tuple[int
     return lo, hi
 
 
+def _threshold_tables(values: np.ndarray, thresholds, Q: int) -> dict:
+    """For each threshold t, the (Q+1, L) bool table |u[i+q] - u[i]| >= t
+    (row q, column i; True past the end), built one row q at a time.  A
+    shift q < 0 reads row |q| at i - |q|: a - b == -(b - a) bit for bit."""
+    L = len(values)
+    tables = {t: np.ones((Q + 1, L), dtype=bool) for t in thresholds}
+    for q in range(min(Q, L - 1) + 1):
+        d = np.abs(values[q:] - values[: L - q])
+        for t, table in tables.items():
+            np.greater_equal(d, t, out=table[q, : L - q])
+    return tables
+
+
+def _window_free(table: np.ndarray, M: int) -> np.ndarray:
+    """free[q, j] is True when row q of table holds no True in columns [j, j + 2M]:
+    sample values are finite, so that is max |u_{i+q} - u_i| < t over the window."""
+    c = np.zeros((len(table), table.shape[1] + 1), dtype=np.int32)
+    np.cumsum(table, axis=1, out=c[:, 1:])
+    return c[:, 2 * M + 1 :] == c[:, : -(2 * M + 1)]
+
+
+def _shift_rows(table: np.ndarray, start: int, nbits: int, D: int) -> np.ndarray:
+    """Packed rows for the shifts s in [-D, D]: row |s| of table, nbits wide,
+    from column start, moved back by |s| for s < 0."""
+    rows = [table[abs(s), start + min(s, 0) : start + min(s, 0) + nbits] for s in range(-D, D + 1)]
+    return np.packbits(np.stack(rows), axis=1)
+
+
 def shift_mask(u: SequenceSample, s: int, delta: float, M: int) -> np.ndarray:
     """Boolean array over u's indices: True at k when the shift-s condition holds.
 
@@ -221,18 +249,13 @@ def shift_mask(u: SequenceSample, s: int, delta: float, M: int) -> np.ndarray:
     L = len(u.values)
     if M < 0:
         raise ValueError("M must be >= 0")
-    i_lo = max(0, -s)          # offsets into values
-    i_hi = (L - 1) - max(0, s)
-    width = 2 * M + 1
-    if i_hi - i_lo + 1 < width:
+    back = max(0, -s)
+    if L - abs(s) < 2 * M + 1:
         raise ValueError(f"shift {s} with M={M} leaves no computable window")
-    d = np.abs(u.values[i_lo + s : i_hi + s + 1] - u.values[i_lo : i_hi + 1])
-    # Sample values are finite, so max(window) < delta exactly when the
-    # window holds no entry >= delta; count those with a prefix sum.
-    c = np.concatenate(([0], np.cumsum(d >= delta)))
+    table = _threshold_tables(u.values, (delta,), abs(s))[delta]
+    free = _window_free(table[abs(s) :], M)[0]
     mask = np.zeros(L, dtype=bool)
-    k_start = i_lo + M
-    mask[k_start : k_start + len(c) - width] = c[width:] == c[:-width]
+    mask[M + back : L - M] = free[: L - 2 * M - back]
     return mask
 
 
@@ -242,21 +265,16 @@ def shift_mask(u: SequenceSample, s: int, delta: float, M: int) -> np.ndarray:
 
 
 class _Engine:
-    def __init__(self, u: SequenceSample, params: RegularityParams):
+    def __init__(self, u: SequenceSample, params: RegularityParams, tables: dict | None = None):
         self.u = u
         self.params = params
         self.lo, self.hi = _effective_k_range(u, params)
         self.nbits = self.hi - self.lo + 1
         self._base_offset = self.lo - u.n_min
-
-    def packed_mask(self, s: int) -> np.ndarray:
-        full = shift_mask(self.u, s, self.params.delta, self.params.M)
-        return np.packbits(full[self._base_offset : self._base_offset + self.nbits])
-
-    def packed_viol(self, q: int) -> np.ndarray:
-        vals, b = self.u.values, self._base_offset
-        bad = np.abs(vals[b + q : b + q + self.nbits] - vals[b : b + self.nbits]) >= self.params.eps
-        return np.packbits(bad)
+        if tables is None:
+            Q = (params.order + 1) * params.shift_max
+            tables = _threshold_tables(u.values, (params.delta, params.eps), Q)
+        self.tables = tables
 
     def row_violations(self, packed: np.ndarray, ns: tuple, t: np.ndarray):
         """Columns (k, shifts, gap) of the violations at the set bits of packed rows.
@@ -287,8 +305,9 @@ def _scan(eng: _Engine, S: int, d: int):
     The violations of each full tuple prefix are extracted at once and
     joined into columns at the end.
     """
-    PM = np.vstack([eng.packed_mask(s) for s in range(-d * S, d * S + 1)])
-    VQ = np.vstack([eng.packed_viol(q) for q in range(-(d + 1) * S, (d + 1) * S + 1)])
+    p, b = eng.params, eng._base_offset
+    PM = _shift_rows(_window_free(eng.tables[p.delta][: d * S + 1], p.M), b - p.M, eng.nbits, d * S)
+    VQ = _shift_rows(eng.tables[p.eps], b, eng.nbits, (d + 1) * S)
 
     def rows(table, s):
         """Rows t in [-S, S] of a table indexed by shift, at shifts s + t."""
@@ -339,8 +358,13 @@ def test_order1(u: SequenceSample, params: RegularityParams) -> RegularityReport
 
 def run_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
     """Regularity scan of order params.order with the packed-mask engine."""
+    return _run_test(u, params)
+
+
+def _run_test(u: SequenceSample, params: RegularityParams, tables: dict | None = None):
+    """``run_test``, slicing ``tables`` (``_threshold_tables``, Q >= (order+1) S) if given."""
     t0 = time.monotonic()
-    eng = _Engine(u, params)
+    eng = _Engine(u, params, tables)
     S, d = params.shift_max, params.order
     columns, hyp = _scan(eng, S, d)
     elapsed = int((time.monotonic() - t0) * 1000)
@@ -420,7 +444,7 @@ def calibrate(
 
     Returns the zero-violation pair maximizing hypothesis_count; if
     none, the pair with fewest violations.  Ties prefer smaller M, then
-    larger delta.
+    larger delta.  Every grid point slices one set of threshold tables.
     """
     M_grid = list(M_grid)
     delta_grid = list(delta_grid)
@@ -428,12 +452,15 @@ def calibrate(
         raise ValueError("calibration grids must be nonempty")
     entries = []
     best = None  # (key tuple, M, delta, report)
+    tables = None
     for M in M_grid:
         for delta in delta_grid:
             params = RegularityParams(
                 order=order, eps=eps, delta=delta, M=M, shift_max=shift_max, k_range=k_range
             )
-            report = run_test(u, params)
+            if tables is None:
+                tables = _threshold_tables(u.values, (*delta_grid, eps), (order + 1) * shift_max)
+            report = _run_test(u, params, tables)
             nviol = report.violation_count
             entries.append(
                 {

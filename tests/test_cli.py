@@ -253,6 +253,54 @@ class TestReportBytes:
         assert csv_out.read_bytes() == expected.encode()
 
 
+    @staticmethod
+    def many_columns(order, gaps_kind, count=9000):
+        """Columns of more than 8,192 violations, so the writer crosses a chunk boundary."""
+        gen = np.random.default_rng([order, len(gaps_kind)])
+        if gaps_kind == "repeated":
+            gap = gen.choice([0.0, 0.25, 1e-7, 0.6000000000000001], count)
+        else:
+            gap = gen.uniform(0, 2, count)
+        gap[[5, 17, 4000]] = [-0.0, 0.0, np.inf]
+        return rg.ViolationColumns(
+            k=gen.integers(-3000, 3000, count),
+            shifts=gen.integers(-60, 61, (count, order + 1)),
+            gap=gap,
+        )
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("gaps_kind", ["repeated", "distinct"])
+    def test_many_violations(self, tmp_path, order, gaps_kind):
+        columns = self.many_columns(order, gaps_kind)
+        payload = {"order": order, "report": {"violations": columns, "vacuous": False}, "z": [0.5]}
+        want = reference_json(payload)
+        assert len(list(cli._json_chunks(payload))) > 3  # prefix, two or more chunks, suffix
+        assert cli._dump_json(payload) == want
+        out = tmp_path / "rep.json"
+        cli._atomic_write(str(out), cli._json_chunks(payload))
+        assert out.read_bytes() == want.encode()
+        row = "%s," * (order + 2) + "," * (2 - order) + "%r\n"
+        rows = zip(columns.k.tolist(), *columns.shifts.T.tolist(), columns.gap.tolist())
+        csv = "".join(["k,m,n,p,gap\n", *(row % r for r in rows)])
+        assert "".join(cli._violations_csv(columns)) == csv
+
+    def test_out_bytes_of_a_large_scan(self, tmp_path, monkeypatch):
+        gen = np.random.default_rng(8)
+        rows = ["n,re,im"] + [f"{n},{gen.uniform(-1, 1)!r},{gen.uniform(-1, 1)!r}" for n in range(-70, 71)]
+        seq = tmp_path / "noise.csv"
+        seq.write_text("\n".join(rows) + "\n")
+        payloads = []
+        real_emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda payload, *a: payloads.append(payload) or real_emit(payload, *a))
+        rep = tmp_path / "rep.json"
+        code = run(["regtest", "--input", str(seq), "--order", "1", "--eps", "1e-9",
+                    "--delta", "3", "--M", "0", "--shift-max", "4", "--out", str(rep)])
+        assert code == 1
+        (payload,) = payloads
+        assert payload["report"]["violations"].k.size > 8192
+        assert rep.read_bytes() == reference_json(payload).encode()
+
+
 class TestCubeCommands:
     def test_pgram_member(self, tmp_path, spec):
         q = cubes.sample_pgram(spec, h.NilPoint(0.1, 0.9, 0.3), 40, -17)

@@ -178,3 +178,99 @@ class TestSerialization:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             ns.SequenceSample(values=np.array([1.0, np.nan]), n_min=0)
+
+
+def loop_from_csv(text):
+    """The row-by-row CSV reader that ``SequenceSample.from_csv`` replaced, as
+    the reference for its one-call read: (n_min, values) or the error."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip().lower() != "n,re,im":
+        raise ValueError("line 1: expected header 'n,re,im'")
+    ns_, vals = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            ns_.append(int(parts[0]))
+            vals.append(complex(float(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not ns_:
+        raise ValueError("no data rows")
+    order = np.argsort(ns_)
+    ns_ = np.asarray(ns_)[order]
+    vals = np.asarray(vals)[order]
+    if not np.array_equal(np.diff(ns_), np.ones(len(ns_) - 1, dtype=ns_.dtype)):
+        raise ValueError("indices must form a contiguous ascending range")
+    return ns.SequenceSample(values=vals, n_min=int(ns_[0]))
+
+
+def outcome(read, text):
+    """(n_min, bit patterns of the values) or (error type, message)."""
+    try:
+        u = read(text)
+    except Exception as exc:  # the reference's every error is part of its behaviour
+        return type(exc).__name__, str(exc)
+    return u.n_min, u.values.view(np.int64).tolist()
+
+
+class TestCsvRead:
+    """``from_csv`` against the row-by-row reader: the same values bit for bit, or the same error."""
+
+    ROWS = "0,0.5,-0.25\n1,-0.0,1e-300\n2,0.1,0.30000000000000004\n"
+    CORPUS = [
+        "n,re,im\n" + ROWS,
+        "n,re,im\n\n0,0.5,-0.25\n\n1,1.0,2.0\n\n",  # blank lines
+        "n,re,im\n0,0.5,-0.25\n   \n1,1.0,2.0\n",  # whitespace-only line
+        "n,re,im\n \t\n",  # only whitespace rows
+        "n,re,im\r\n0,0.5,-0.25\r\n1,1.0,2.0\r\n",  # CRLF
+        " N,Re,IM \n0,1,2\n",
+        "n,re,im\n+5,1,2\n6,1,2\n",
+        "n,re,im\n 5 , 1.5 ,\t2\n",
+        "n,re,im\n1_0,1,2\n11,1,2\n",
+        "n,re,im\n0,1_0.5,2\n",
+        "n,re,im\n5.0,1,2\n",
+        "n,re,im\n٣,1,2\n4,1,2\n",
+        "n,re,im\n0,١.٥,2\n",
+        'n,re,im\n"5",1,2\n',
+        'n,re,im\n5,"1",2\n',
+        "n,re,im\n0,1,2 # c\n",
+        "n,re,im\n0,1\n",
+        "n,re,im\n0,1,2,3\n",
+        "n,re,im\n0,1,2\n1,1\n",
+        "n,re,im\n0,,2\n",
+        "n,re,im\n0,nan,2\n",
+        "n,re,im\n0,1,-inf\n",
+        "n,re,im\n0,1e400,2\n",
+        "n,re,im\n0,1e-400,2\n",
+        "n,re,im\n0,0x1p3,2\n",
+        "n,re,im\n0,1d5,2\n",
+        "n,re,im\n3,1,2\n1,3,4\n2,5,6\n",  # unsorted
+        "n,re,im\n1,1,2\n1,3,4\n2,5,6\n",  # duplicate
+        "n,re,im\n0,1,2\n2,3,4\n",  # gap
+        "n,re,im\n99999999999999999999,1,2\n",  # beyond int64
+        "n,re,im\n-9223372036854775808,1,2\n",
+        "n,re,im\n",
+        "n,re,im",
+        "",
+        "n;re;im\n0;1;2\n",
+    ]
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_corpus(self, text):
+        assert outcome(ns.SequenceSample.from_csv, text) == outcome(loop_from_csv, text)
+
+    def test_random_digit_strings(self, monkeypatch):
+        gen = np.random.default_rng(14)
+        x = (gen.standard_normal(500) * 10.0 ** gen.integers(-300, 300, 500)).tolist()
+        re_ = [repr(v) for v in x] + [f"{v:.25e}" for v in x[:250]] + [f"{v:.3g}" for v in x[:250]]
+        im_ = [f"{v:.20f}" for v in gen.uniform(-1, 1, len(re_))]
+        rows = [f"{n},{a},{b}" for n, a, b in zip(gen.permutation(len(re_)) - 400, re_, im_)]
+        text = "n,re,im\n" + "\n".join(rows) + "\n"
+        want = outcome(loop_from_csv, text)
+        monkeypatch.setattr(ns, "_parse_rows", None)  # the one-call read alone
+        assert outcome(ns.SequenceSample.from_csv, text) == want
+        assert want[0] == -400

@@ -329,6 +329,48 @@ class TestCalibrate:
             rg.calibrate(u, eps=0.1, M_grid=[], delta_grid=[0.1], shift_max=2)
 
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_shared_tables_match_run_test(self, order):
+        gen = np.random.default_rng(order)
+        u = sample(gen.uniform(-1, 1, 121) + 1j * gen.uniform(-1, 1, 121))
+        M_grid, delta_grid, k_range = [0, 2], [0.9, 1.6, 0.9], (-30, 25)
+        cal = rg.calibrate(u, 1.2, M_grid, delta_grid, shift_max=3, order=order, k_range=k_range)
+        entries = []
+        for M in M_grid:
+            for delta in delta_grid:
+                params = rg.RegularityParams(order, 1.2, delta, M, 3, k_range)
+                report = rg.run_test(u, params)
+                entries.append({"M": M, "delta": delta, "violations": report.violation_count,
+                                "hypothesis_count": report.hypothesis_count,
+                                "vacuous": report.vacuous})
+                if (M, delta) == (cal.M, cal.delta):
+                    chosen = report
+        assert cal.entries == entries
+        assert sum(e["violations"] > 0 for e in entries) not in (0, len(entries))
+        got = cal.report
+        assert (got.hypothesis_count, got.scanned, got.k_lo, got.k_hi) == (
+            chosen.hypothesis_count, chosen.scanned, chosen.k_lo, chosen.k_hi)
+        for name in ("k", "shifts", "gap"):
+            assert np.array_equal(getattr(got.columns, name), getattr(chosen.columns, name))
+
+    def test_difference_rows_computed_once(self, monkeypatch):
+        """The order-2 S=60 grid computes Q+1 = 181 rows |u_{i+q} - u_i| in all,
+        not 602 (241 masks, 361 conclusions) at each of its 9 points."""
+        u = ns.quadratic_phase(0.37, 200)
+        rows = []
+        real_abs = np.abs
+
+        def counting_abs(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                rows.append(len(x))
+            return real_abs(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "abs", counting_abs)
+        cal = rg.calibrate(u, 0.3, (5, 10, 25), (0.02, 0.05, 0.1), shift_max=60, order=2)
+        assert len(cal.entries) == 9
+        assert len(rows) == 181
+
+
 class TestShiftMetric:
     def test_zero_for_equal(self, rng):
         u = random_sample(rng, 20)
