@@ -21,55 +21,28 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
-import os
 import re
 import statistics
 import sys
-import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-from nilscope import cli  # noqa: E402
-
-import workloads  # noqa: E402
+from harness import job_list, parse_args, run_quiet
 
 
 def job_times(workload: str, seed: int, passes: int) -> dict[str, list[float]]:
     """Wall times in ms of each job's runs, keyed by job id in job-list order."""
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory(prefix="family-times-") as tmp:
-        os.chdir(tmp)
-        try:
-            jobs = workloads.WORKLOADS[workload](seed, Path("."))
-            times = {job.id: [] for job in jobs}
-            for _ in range(passes):
-                for job in jobs:
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        t0 = time.perf_counter_ns()
-                        try:
-                            cli.main(job.argv)
-                        except SystemExit:  # argparse rejects flags this way
-                            pass
-                        times[job.id].append((time.perf_counter_ns() - t0) / 1e6)
-        finally:
-            os.chdir(cwd)
+    with job_list(workload, seed, "family-times-") as jobs:
+        times = {job.id: [] for job in jobs}
+        for _ in range(passes):
+            for job in jobs:
+                t0 = time.perf_counter_ns()
+                run_quiet(job)
+                times[job.id].append((time.perf_counter_ns() - t0) / 1e6)
     return times
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("seed", type=int)
-    parser.add_argument("--passes", type=int, default=5)
-    args = parser.parse_args(argv)
-    if args.passes < 1:
-        parser.error("--passes must be at least 1")
+    args = parse_args(__doc__, argv, passes=5)
     families: dict[str, list[float]] = {}
     for job_id, runs in job_times(args.workload, args.seed, args.passes).items():
         families.setdefault(re.sub(r"-\d+$", "", job_id), []).append(statistics.median(runs))

@@ -19,47 +19,25 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import hashlib
-import io
-import os
 import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-from nilscope import cli  # noqa: E402
-
-import workloads  # noqa: E402
+from harness import job_list, parse_args, run_quiet
 
 
 def digests(workload: str, seed: int):
     """Yield (job id, exit code, sha256 of the report or "-") for each job."""
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
-        os.chdir(tmp)
-        try:
-            for job in workloads.WORKLOADS[workload](seed, Path(".")):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    try:
-                        rc = cli.main(job.argv)
-                    except SystemExit as exc:  # argparse rejects flags this way
-                        rc = exc.code
-                out = Path(job.out)
-                digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.is_file() else "-"
-                yield job.id, rc, digest
-        finally:
-            os.chdir(cwd)
+    with job_list(workload, seed, "report-digests-") as jobs:
+        for job in jobs:
+            rc = run_quiet(job)
+            out = Path(job.out)
+            digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.is_file() else "-"
+            yield job.id, rc, digest
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("seed", type=int)
-    args = parser.parse_args(argv)
+    args = parse_args(__doc__, argv)
     total = hashlib.sha256()
     for job_id, rc, digest in digests(args.workload, args.seed):
         line = f"{job_id} {rc} {digest}"

@@ -22,51 +22,31 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
-import os
 import random
 import resource
 import sys
-import tempfile
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+from harness import cli, job_list, parse_args
 
-from nilscope import cli  # noqa: E402
-
-import run as bench  # noqa: E402
-import spans  # noqa: E402
-import workloads  # noqa: E402
+import run as bench  # bench/run.py, on sys.path once harness is imported
+import spans
 
 
 def rss_passes(workload: str, seed: int, passes: int):
     """Yield (pass, peak RSS in MB, failed jobs so far) after each pass."""
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory(prefix="rss-passes-") as tmp:
-        os.chdir(tmp)
-        try:
-            jobs = workloads.WORKLOADS[workload](seed, Path("."))
-            runner = bench.Runner(cli, spans.Tracer())
-            for i in range(passes):
-                order = list(jobs)
-                random.Random(i).shuffle(order)
-                for job in order:
-                    runner.run(job)
-                peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-                yield i, peak, len(runner.failures)
-        finally:
-            os.chdir(cwd)
+    with job_list(workload, seed, "rss-passes-") as jobs:
+        runner = bench.Runner(cli, spans.Tracer())
+        for i in range(passes):
+            order = list(jobs)
+            random.Random(i).shuffle(order)
+            for job in order:
+                runner.run(job)
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            yield i, peak, len(runner.failures)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("seed", type=int)
-    parser.add_argument("--passes", type=int, default=16)
-    args = parser.parse_args(argv)
-    if args.passes < 1:
-        parser.error("--passes must be at least 1")
+    args = parse_args(__doc__, argv, passes=16)
     for i, peak, failures in rss_passes(args.workload, args.seed, args.passes):
         print(f"{i} {peak:.1f} {failures}", flush=True)
     return 0

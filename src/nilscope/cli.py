@@ -371,11 +371,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid_list(raw, cast):
-    if isinstance(raw, str):
-        parts = [p for p in raw.split(",") if p.strip()]
-        return [cast(p) for p in parts]
-    return [cast(p) for p in raw]
+def _grid_list(raw: str, cast):
+    return [cast(p) for p in raw.split(",") if p.strip()]
 
 
 def _violations_csv(columns: regularity.ViolationColumns):
@@ -441,7 +438,7 @@ def cmd_regtest(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
 
     nviol = report.violation_count
-    payload["report"] = report.to_dict(include_timing=False)
+    payload["report"] = report.to_dict()
     payload["verdict"] = "pass" if nviol == 0 else "violations"
 
     csv_out = res.get("csv", None, str)

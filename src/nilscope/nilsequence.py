@@ -113,7 +113,7 @@ class SequenceSample:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, meta: dict | None = None) -> "SequenceSample":
+    def from_csv(cls, text: str) -> "SequenceSample":
         """Rows n,re,im under that header, in any order of n: one ``np.loadtxt``
         call, or on any error or warning the row loop, which names the line."""
         lines = text.splitlines()
@@ -132,7 +132,7 @@ class SequenceSample:
         vals = vals[order]
         if not np.array_equal(np.diff(ns), np.ones(len(ns) - 1, dtype=ns.dtype)):
             raise ValueError("indices must form a contiguous ascending range")
-        return cls(values=vals, n_min=int(ns[0]), meta=dict(meta or {}))
+        return cls(values=vals, n_min=int(ns[0]))
 
     def to_json(self) -> str:
         payload = {
@@ -164,6 +164,8 @@ def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
         try:
             ns.append(int(parts[0]))
             vals.append(complex(float(parts[1]), float(parts[2])))
+            if not -(2**63) <= ns[-1] < 2**63:
+                raise ValueError("index outside the int64 range [-2^63, 2^63)")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not ns:

@@ -19,7 +19,8 @@ for q in [0, (d+1)S], one difference row per q; a shift s < 0 reads row
 window test on row |s| of the delta table (a prefix count, equal at both
 window ends), packed into bytes; masks combine per shift tuple with
 bitwise ANDs, so the per-tuple work is a handful of vectorized byte
-operations.  ``calibrate`` builds the tables once for its whole grid.
+operations.  ``run_test`` is the one entry to the scan; ``calibrate``
+builds the tables once for its whole grid and hands them to it.
 
 An order-d shift tuple sits on the cube {0,1}^(d+1) as a parallelepiped
 does (``cubes.vertex_shifts``): hypotheses at every vertex but 0 and the
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,8 +150,6 @@ class RegularityReport:
     columns: ViolationColumns
     hypothesis_count: int
     scanned: int
-    elapsed_ms: int
-    vacuous: bool
     k_lo: int = 0
     k_hi: int = -1
 
@@ -173,6 +171,10 @@ class RegularityReport:
     def violation_count(self) -> int:
         return len(self.columns)
 
+    @property
+    def vacuous(self) -> bool:
+        return self.hypothesis_count == 0
+
     @functools.cached_property
     def violations(self) -> list[Violation]:
         c = self.columns
@@ -181,10 +183,10 @@ class RegularityReport:
             for k, ns, gap in zip(c.k.tolist(), c.shifts.tolist(), c.gap.tolist())
         ]
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         """The report as a dict; ``violations`` is the ``ViolationColumns``,
         which ``cli`` writes as a list of {k, m, n, p, gap} objects."""
-        out = {
+        return {
             "violations": self.columns,
             "hypothesis_count": self.hypothesis_count,
             "scanned": self.scanned,
@@ -192,9 +194,6 @@ class RegularityReport:
             "k_lo": self.k_lo,
             "k_hi": self.k_hi,
         }
-        if include_timing:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 def _effective_k_range(u: SequenceSample, params: RegularityParams) -> tuple[int, int]:
@@ -260,41 +259,12 @@ def shift_mask(u: SequenceSample, s: int, delta: float, M: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Packed-mask engine
+# Packed-mask scan
 # ---------------------------------------------------------------------------
 
 
-class _Engine:
-    def __init__(self, u: SequenceSample, params: RegularityParams, tables: dict | None = None):
-        self.u = u
-        self.params = params
-        self.lo, self.hi = _effective_k_range(u, params)
-        self.nbits = self.hi - self.lo + 1
-        self._base_offset = self.lo - u.n_min
-        if tables is None:
-            Q = (params.order + 1) * params.shift_max
-            tables = _threshold_tables(u.values, (params.delta, params.eps), Q)
-        self.tables = tables
-
-    def row_violations(self, packed: np.ndarray, ns: tuple, t: np.ndarray):
-        """Columns (k, shifts, gap) of the violations at the set bits of packed rows.
-
-        Row r holds the base indices of the shift tuple (*ns, t[r]); the
-        violations come row by row, k ascending within a row.
-        """
-        r, idx = np.nonzero(np.unpackbits(packed, axis=1, count=self.nbits))
-        shifts = np.empty((len(idx), len(ns) + 1), dtype=np.int64)
-        shifts[:, :-1] = ns
-        shifts[:, -1] = t[r]
-        i = self._base_offset + idx
-        d = self.u.values[i + shifts.sum(axis=1)] - self.u.values[i]
-        # hypot, not np.abs: it matches the scalar abs of naive_test bit for bit.
-        gaps = np.hypot(d.real, d.imag) - self.params.eps
-        return self.lo + idx, shifts, gaps
-
-
-def _scan(eng: _Engine, S: int, d: int):
-    """Order-d scan of every shift tuple in [-S, S]^(d+1); returns (columns, hypothesis count).
+def _scan(u: SequenceSample, params: RegularityParams, tables: dict, lo: int, hi: int):
+    """Order-d scan of every shift tuple in [-S, S]^(d+1) at k in [lo, hi]: (columns, hypotheses).
 
     The first d shifts are fixed one nonempty row at a time, in
     lexicographic order; the last, t, is a block of 2S+1 packed rows.
@@ -302,12 +272,13 @@ def _scan(eng: _Engine, S: int, d: int):
     shifts, ``block`` row t those at t plus each of their vertex shifts
     (the lower subcube).  Fixing one more shift a extends ``block`` with
     the vertices a + s, but for the all-ones one: that is the conclusion.
-    The violations of each full tuple prefix are extracted at once and
-    joined into columns at the end.
+    The violations of each full tuple prefix are extracted at once, row
+    by row and k ascending within a row, and joined into columns at the end.
     """
-    p, b = eng.params, eng._base_offset
-    PM = _shift_rows(_window_free(eng.tables[p.delta][: d * S + 1], p.M), b - p.M, eng.nbits, d * S)
-    VQ = _shift_rows(eng.tables[p.eps], b, eng.nbits, (d + 1) * S)
+    S, d, M, eps = params.shift_max, params.order, params.M, params.eps
+    nbits, b = hi - lo + 1, lo - u.n_min
+    PM = _shift_rows(_window_free(tables[params.delta][: d * S + 1], M), b - M, nbits, d * S)
+    VQ = _shift_rows(tables[eps], b, nbits, (d + 1) * S)
 
     def rows(table, s):
         """Rows t in [-S, S] of a table indexed by shift, at shifts s + t."""
@@ -325,7 +296,14 @@ def _scan(eng: _Engine, S: int, d: int):
             viol = cand & rows(VQ, sum(ns))
             t_idx = np.flatnonzero(viol.any(axis=1))
             if len(t_idx):
-                chunks.append(eng.row_violations(viol[t_idx], ns, t_idx - S))
+                r, idx = np.nonzero(np.unpackbits(viol[t_idx], axis=1, count=nbits))
+                shifts = np.empty((len(idx), d + 1), dtype=np.int64)
+                shifts[:, :-1] = ns
+                shifts[:, -1] = t_idx[r] - S
+                i = b + idx
+                diff = u.values[i + shifts.sum(axis=1)] - u.values[i]
+                # hypot, not np.abs: it matches the scalar abs of naive_test bit for bit.
+                chunks.append((lo + idx, shifts, np.hypot(diff.real, diff.imag) - eps))
             return
         shifts = vertex_shifts(ns)
         if len(ns) + 1 == d:
@@ -356,32 +334,20 @@ def test_order1(u: SequenceSample, params: RegularityParams) -> RegularityReport
     return run_test(u, params)
 
 
-def run_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
-    """Regularity scan of order params.order with the packed-mask engine."""
-    return _run_test(u, params)
-
-
-def _run_test(u: SequenceSample, params: RegularityParams, tables: dict | None = None):
-    """``run_test``, slicing ``tables`` (``_threshold_tables``, Q >= (order+1) S) if given."""
-    t0 = time.monotonic()
-    eng = _Engine(u, params, tables)
+def run_test(u: SequenceSample, params: RegularityParams, tables: dict | None = None):
+    """Regularity scan of order params.order with the packed-mask engine; ``tables``
+    (``_threshold_tables`` of u at delta and eps, Q >= (order+1) S) lets ``calibrate``
+    share one set across its grid."""
+    lo, hi = _effective_k_range(u, params)
     S, d = params.shift_max, params.order
-    columns, hyp = _scan(eng, S, d)
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return RegularityReport(
-        columns=columns,
-        hypothesis_count=hyp,
-        scanned=(2 * S + 1) ** (d + 1),
-        elapsed_ms=elapsed,
-        vacuous=(hyp == 0),
-        k_lo=eng.lo,
-        k_hi=eng.hi,
-    )
+    if tables is None:
+        tables = _threshold_tables(u.values, (params.delta, params.eps), (d + 1) * S)
+    columns, hyp = _scan(u, params, tables, lo, hi)
+    return RegularityReport(columns, hyp, scanned=(2 * S + 1) ** (d + 1), k_lo=lo, k_hi=hi)
 
 
 def naive_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
     """Oracle with literal loop semantics; identical reports to the engine."""
-    t0 = time.monotonic()
     lo, hi = _effective_k_range(u, params)
     vals = u.values
     n0 = u.n_min
@@ -408,16 +374,8 @@ def naive_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
                 gap = abs(vals[k + shifts[-1] - n0] - vals[k - n0]) - eps
                 if gap >= 0:
                     violations.append(Violation.at(k, ns, float(gap)))
-    elapsed = int((time.monotonic() - t0) * 1000)
     return RegularityReport.from_violations(
-        violations,
-        params.order,
-        hypothesis_count=hyp,
-        scanned=scanned,
-        elapsed_ms=elapsed,
-        vacuous=(hyp == 0),
-        k_lo=lo,
-        k_hi=hi,
+        violations, params.order, hypothesis_count=hyp, scanned=scanned, k_lo=lo, k_hi=hi
     )
 
 
@@ -460,7 +418,7 @@ def calibrate(
             )
             if tables is None:
                 tables = _threshold_tables(u.values, (*delta_grid, eps), (order + 1) * shift_max)
-            report = _run_test(u, params, tables)
+            report = run_test(u, params, tables)
             nviol = report.violation_count
             entries.append(
                 {

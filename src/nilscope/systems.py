@@ -38,7 +38,7 @@ rotation and a minimal nilsystem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -117,8 +117,8 @@ class SystemSpec:
     ``gamma0`` is ignored for torus rotations; ``dims`` (1 or 2) only
     applies to torus rotations.  ``rationally_dependent`` flags a small
     integer relation among 1, alpha, beta found by a bounded
-    denominator search; minimality of the default systems relies on its
-    absence.
+    denominator search when read; minimality of the default systems
+    relies on its absence.
     """
 
     kind: str = "heisenberg"
@@ -126,7 +126,6 @@ class SystemSpec:
     beta: float = DEFAULT_BETA
     gamma0: float = 0.0
     dims: int = 2
-    rationally_dependent: bool = field(init=False, default=False)
 
     def __post_init__(self):
         if self.kind not in ("heisenberg", "torus_rotation"):
@@ -136,13 +135,15 @@ class SystemSpec:
         for name in ("alpha", "beta", "gamma0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        flagged = (
+
+    @property
+    def rationally_dependent(self) -> bool:
+        return (
             _near_rational(self.alpha)
             or (self.dims == 2 and _near_rational(self.beta))
             or (self.dims == 2 and _near_rational(self.alpha + self.beta))
             or (self.dims == 2 and _near_rational(self.alpha - self.beta))
         )
-        object.__setattr__(self, "rationally_dependent", flagged)
 
     @property
     def translation(self) -> GroupElement:

@@ -111,6 +111,20 @@ class TestRegtest:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_min, code", [(2**63 + 1, 2), (2**63 - 99, 1), (-2**63, 1)])
+    def test_indices_at_the_int64_edges(self, tmp_path, capsys, n_min, code):
+        seq = tmp_path / "far.csv"
+        seq.write_text("n,re,im\n" + "".join(f"{n_min + i},{i % 2},0\n" for i in range(99)))
+        rep = tmp_path / "far.json"
+        assert run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.01",
+                    "--delta", "2", "--M", "1", "--shift-max", "2", "--out", str(rep)]) == code
+        if code == 2:
+            assert "line 2: index outside the int64 range" in capsys.readouterr().err
+            return
+        report = json.loads(rep.read_text())["report"]
+        assert (report["k_lo"], report["k_hi"]) == (n_min + 4, n_min + 94)
+        assert {v["k"] for v in report["violations"]} == set(range(n_min + 4, n_min + 95))
+
     def test_missing_required_field_exit2(self, tmp_path, capsys):
         seq = self.make_sequence(tmp_path)
         code = run(["regtest", "--input", str(seq), "--order", "1", "--delta", "0.1",
@@ -179,7 +193,7 @@ class TestReportBytes:
         params = rg.RegularityParams(order=order, eps=1.5, delta=1.2, M=1, shift_max=3)
         report = rg.run_test(u, params)
         assert report.violation_count > 0
-        return {"command": "regtest", "order": order, "report": report.to_dict(include_timing=False)}
+        return {"command": "regtest", "order": order, "report": report.to_dict()}
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_scan_reports(self, order):

@@ -251,7 +251,6 @@ class TestCsvRead:
         "n,re,im\n3,1,2\n1,3,4\n2,5,6\n",  # unsorted
         "n,re,im\n1,1,2\n1,3,4\n2,5,6\n",  # duplicate
         "n,re,im\n0,1,2\n2,3,4\n",  # gap
-        "n,re,im\n99999999999999999999,1,2\n",  # beyond int64
         "n,re,im\n-9223372036854775808,1,2\n",
         "n,re,im\n",
         "n,re,im",
@@ -274,3 +273,22 @@ class TestCsvRead:
         monkeypatch.setattr(ns, "_parse_rows", None)  # the one-call read alone
         assert outcome(ns.SequenceSample.from_csv, text) == want
         assert want[0] == -400
+
+
+class TestIndexRange:
+    """Indices beyond int64 are refused with the line that holds them, at both ends."""
+
+    @pytest.mark.parametrize("text, line", [
+        ("n,re,im\n99999999999999999999,1,2\n", 2),
+        (f"n,re,im\n{-2**63 - 1},1,2\n{-2**63},1,2\n", 2),
+        (f"n,re,im\n{2**63 - 1},1,2\n{2**63},1,2\n", 3),
+    ])
+    def test_beyond_int64_names_the_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: index outside the int64 range"):
+            ns.SequenceSample.from_csv(text)
+
+    @pytest.mark.parametrize("n_min", [-2**63, 2**63 - 2])
+    def test_int64_edges_accepted(self, n_min):
+        u = ns.SequenceSample.from_csv(f"n,re,im\n{n_min + 1},3,4\n{n_min},1,2\n")
+        assert (u.n_min, u.n_max) == (n_min, n_min + 1)
+        assert u.values.tolist() == [1 + 2j, 3 + 4j]

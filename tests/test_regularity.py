@@ -353,6 +353,20 @@ class TestCalibrate:
         for name in ("k", "shifts", "gap"):
             assert np.array_equal(getattr(got.columns, name), getattr(chosen.columns, name))
 
+    def test_grid_points_go_through_run_test(self, monkeypatch):
+        tables = []
+        real_run_test = rg.run_test
+
+        def counting_run_test(u, params, shared=None):
+            tables.append(shared)
+            return real_run_test(u, params, shared)
+
+        monkeypatch.setattr(rg, "run_test", counting_run_test)
+        u = ns.quadratic_phase(0.37, 100)
+        rg.calibrate(u, 0.3, (2, 4), (0.02, 0.05, 0.1), shift_max=5, order=2)
+        assert len(tables) == 6
+        assert tables[0] is not None and all(t is tables[0] for t in tables)
+
     def test_difference_rows_computed_once(self, monkeypatch):
         """The order-2 S=60 grid computes Q+1 = 181 rows |u_{i+q} - u_i| in all,
         not 602 (241 masks, 361 conclusions) at each of its 9 points."""

@@ -27,6 +27,16 @@ class TestSpec:
             sy.SystemSpec(dims=3)
 
 
+class TestSpecCost:
+    def test_rational_search_runs_only_when_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sy, "_near_rational", lambda value: calls.append(value) or False)
+        spec = sy.SystemSpec()
+        assert calls == []
+        assert not spec.rationally_dependent
+        assert calls == [spec.alpha, spec.beta, spec.alpha + spec.beta, spec.alpha - spec.beta]
+
+
 class TestStep:
     def test_zero_translation_fixes(self):
         frozen = sy.SystemSpec(alpha=0.0, beta=0.0, gamma0=0.0)
