@@ -252,9 +252,11 @@ def _load_points_file(path: str, expected: int):
 
 def _check_points(spec: SystemSpec, points, field: str) -> None:
     system = systems.system_for(spec)
-    for p in points:
-        if not isinstance(p, system.point_type) or len(p.as_tuple()) != system.ndim:
-            raise UsageError(f"{field}: a {spec.kind} system needs {system.ndim}-coordinate points")
+    try:
+        for p in points:
+            system.row(p, field)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_sequence(path: str) -> nilsequence.SequenceSample:
@@ -336,9 +338,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 k1=res.get("k1", 1, int),
                 k2=res.get("k2", 0, int),
             )
+            sample = nilsequence.generate(spec, obs, N)
         except ValueError as exc:
             raise UsageError(f"observable: {exc}") from None
-        sample = nilsequence.generate(spec, obs, N)
 
     text = sample.to_json() if fmt == "json" else sample.to_csv()
     _atomic_write(out, [text])

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import RotationSystem, System, SystemSpec, factor_coords, system_for
+from .systems import RotationSystem, System, SystemSpec, system_for
 
 __all__ = [
     "Quad",
@@ -203,7 +203,7 @@ def vertex_shifts(ns) -> list:
 
 def _orbit_points(spec: SystemSpec, base, shifts: list[int]) -> list:
     system = system_for(spec)
-    return [system.point(row) for row in system.orbit(system.row(base), np.array(shifts))]
+    return [system.point(row) for row in system.orbit(system.row(base, "base"), np.array(shifts))]
 
 
 def sample_pgram(spec: SystemSpec, base, m: int, n: int) -> Quad:
@@ -230,7 +230,7 @@ def pgram_residual(q: Quad) -> float:
     patterns cancel exactly in float arithmetic.  The factor of every
     system here is a rotation, so the distance is the torus sup metric.
     """
-    f0, f1, f2, f3 = (factor_coords(v) for v in q.vertices)
+    f0, f1, f2, f3 = System.factor(np.array([v.as_tuple() for v in q.vertices], dtype=np.float64))
     return float(RotationSystem.dist(f0 - f2, f1 - f3))
 
 
@@ -344,8 +344,8 @@ class _Tables(dict):
         offs = [shifts[v] for v in targets]
         self.top, self.dist = max(offs), system.dist
         span = np.arange(-self.top, self.top + 1)
-        self.orbit = system.orbit(system.row(base), span)
-        self.rows = np.array([system.row(t) for t in targets.values()])
+        self.orbit = system.orbit(system.row(base, "v0"), span)
+        self.rows = np.array([system.row(t, f"v{v}") for v, t in targets.items()])
         self.D = system.floor(self.orbit, self.rows[:, None])
         # Entries still at their floor; a torus floor is its distance.
         self.todo = (np.abs(span) <= np.array(offs)[:, None]) & (system.floor is not system.dist)

@@ -65,7 +65,6 @@ __all__ = [
     "reduce_arr",
     "dist_arr",
     "floor_arr",
-    "dist_point",
 ]
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ _GAUGE_B = np.tile([-1.0, 0.0, 1.0], 3)
 
 def dist(p: NilPoint, q: NilPoint) -> float:
     """Gauge distance on X: min over the lattice of the symmetrized norm."""
-    return float(dist_point(np.array([p.as_tuple()]), q)[0])
+    return float(dist_arr(np.array(p.as_tuple()), np.array(q.as_tuple())))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +238,3 @@ def floor_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         out.append(np.minimum(np.minimum(lift[0], lift[1], out=lift[0]), lift[2], out=lift[0]))
     return np.maximum(out[0], out[1], out=out[0])
 
-
-def dist_point(points: np.ndarray, q: NilPoint) -> np.ndarray:
-    """Gauge distance from each row of an (N, 3) array to a fixed point."""
-    qrow = np.array(q.as_tuple(), dtype=np.float64)
-    return dist_arr(np.asarray(points, dtype=np.float64), qrow)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heisenberg import NilPoint, dist_point
+from .heisenberg import NilPoint, dist_arr
 from .systems import HeisenbergSystem, RotationSystem, SystemSpec, TorusPoint, system_for
 
 __all__ = [
@@ -90,6 +90,10 @@ class SequenceSample:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sequence values must be finite")
+        if not -(2**63) <= self.n_min <= self.n_max < 2**63:
+            raise ValueError(
+                f"indices [{self.n_min}, {self.n_max}] outside the int64 range [-2^63, 2^63)"
+            )
 
     @property
     def n_max(self) -> int:
@@ -97,7 +101,7 @@ class SequenceSample:
 
     @property
     def indices(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_min + len(self.values))
+        return self.n_min + np.arange(len(self.values), dtype=np.int64)
 
     def value_at(self, n: int) -> complex:
         if not self.n_min <= n <= self.n_max:
@@ -193,7 +197,7 @@ def _theta_arr(obs: ObservableSpec, coords: np.ndarray) -> np.ndarray:
 def _eval_arr(obs: ObservableSpec, coords: np.ndarray) -> np.ndarray:
     """Observable values on an (N, 3) array of canonical nil coordinates."""
     if obs.kind == "distance_to_base":
-        return dist_point(coords, obs.base).astype(np.complex128)
+        return dist_arr(coords, np.array(obs.base.as_tuple())).astype(np.complex128)
     if obs.kind == "torus_character":
         return HeisenbergSystem.character(coords, obs.k1, obs.k2)
     return _theta_arr(obs, coords)
@@ -201,12 +205,12 @@ def _eval_arr(obs: ObservableSpec, coords: np.ndarray) -> np.ndarray:
 
 def eval_observable(obs: ObservableSpec, p) -> complex:
     """Observable value at a single point (NilPoint, or TorusPoint for characters)."""
+    coords = np.array(p.as_tuple(), dtype=np.float64)
     if isinstance(p, TorusPoint):
         if obs.kind != "torus_character":
             raise ValueError(f"{obs.kind} needs a NilPoint")
-        return complex(RotationSystem.character(RotationSystem.row(p), obs.k1, obs.k2))
-    coords = np.array([p.as_tuple()], dtype=np.float64)
-    return complex(_eval_arr(obs, coords)[0])
+        return complex(RotationSystem.character(coords, obs.k1, obs.k2))
+    return complex(_eval_arr(obs, coords[None])[0])
 
 
 def eval_observable_raw(obs: ObservableSpec, g) -> complex:

@@ -26,9 +26,10 @@ and the proximality perturbations are ``translate(offsets, coords)``),
 lower bound on it (``dist`` itself on tori), ``factor`` gives the maximal
 equicontinuous factor, ``ball`` moves a cube onto the distance ball of
 the same radius, ``character`` evaluates e(k1 x + k2 y) on the factor,
-and ``row``/``point`` convert points.  The scalar functions (``step``,
-``translate``, ``rotation_step``, ``torus_dist``, ...) are thin wrappers
-over these kernels, so they agree with the array forms bit for bit.
+and ``row``/``point`` convert points.  ``row`` is the one check of a
+point: its type and its coordinate count must match the kind.  A single
+point moves by ``advance(p, n)``, which is ``orbit`` on its row, so
+scalar and array forms agree bit for bit.
 
 Default parameters alpha = sqrt(2)-1, beta = sqrt(3)-1 make 1, alpha,
 beta rationally independent at machine precision, hence a minimal base
@@ -52,20 +53,10 @@ __all__ = [
     "HeisenbergSystem",
     "RotationSystem",
     "system_for",
-    "factor_coords",
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
     "default_heisenberg",
-    "step",
-    "translate",
-    "orbit_point",
-    "orbit_points_arr",
-    "translate_arr",
     "factor_pi",
-    "rotation_step",
-    "rotation_orbit",
-    "torus_dist",
-    "point_dist",
 ]
 
 DEFAULT_ALPHA = math.sqrt(2.0) - 1.0
@@ -183,11 +174,10 @@ class System:
         """Canonical coordinates of T^n coords for each integer n; shape ns.shape + (ndim,)."""
         return self.translate(self.powers(ns), coords)
 
-    @classmethod
-    def row(cls, p, name: str = "point") -> np.ndarray:
-        """Coordinates of a point of this kind."""
-        if not isinstance(p, cls.point_type):
-            raise ValueError(f"{name} must be a {cls.point_type.__name__} for a {cls.kind} system")
+    def row(self, p, name: str = "point") -> np.ndarray:
+        """Coordinates of a point of this kind and dimension; ValueError naming it otherwise."""
+        if not (isinstance(p, self.point_type) and len(p.as_tuple()) == self.ndim):
+            raise ValueError(f"{name}: a {self.kind} system needs {self.ndim}-coordinate points")
         return np.array(p.as_tuple(), dtype=np.float64)
 
     def advance(self, p, n: int):
@@ -305,76 +295,6 @@ def system_for(spec: SystemSpec) -> System:
     return _KINDS[spec.kind](spec)
 
 
-def factor_coords(point) -> np.ndarray:
-    """Factor coordinates of a point of any kind: the torus point it projects to."""
-    return System.factor(np.array(point.as_tuple(), dtype=np.float64))
-
-
-# ---------------------------------------------------------------------------
-# Scalar forms: thin wrappers over the System kernels
-# ---------------------------------------------------------------------------
-
-
-def _require(spec: SystemSpec, kind: str) -> System:
-    if spec.kind != kind:
-        raise ValueError(f"operation requires a {kind} system, got {spec.kind}")
-    return system_for(spec)
-
-
-def _power(spec: SystemSpec, n: int) -> GroupElement:
-    """Closed form t^n; exact for both signs of n."""
-    return GroupElement(*HeisenbergSystem(spec).powers(n).tolist())
-
-
-def step(spec: SystemSpec, p: NilPoint) -> NilPoint:
-    """One application of the nilsystem map p -> reduce(t * p)."""
-    return _require(spec, "heisenberg").advance(p, 1)
-
-
-def translate(spec: SystemSpec, p: NilPoint, n: int) -> NilPoint:
-    """T^n applied to p via the closed-form power of t."""
-    return _require(spec, "heisenberg").advance(p, n)
-
-
-def orbit_point(spec: SystemSpec, n: int) -> NilPoint:
-    """T^n of the base point (the identity coset)."""
-    return translate(spec, NilPoint(0.0, 0.0, 0.0), n)
-
-
-def translate_arr(spec: SystemSpec, p: NilPoint, ns: np.ndarray) -> np.ndarray:
-    """Canonical coordinates of T^n p for an array of integers n; shape (..., 3)."""
-    return _require(spec, "heisenberg").orbit(HeisenbergSystem.row(p), ns)
-
-
-def orbit_points_arr(spec: SystemSpec, ns: np.ndarray) -> np.ndarray:
-    """Canonical coordinates of T^n e for an array of integers n."""
-    return translate_arr(spec, NilPoint(0.0, 0.0, 0.0), ns)
-
-
 def factor_pi(p: NilPoint) -> TorusPoint:
     """Projection to the maximal equicontinuous factor: forget the central coordinate."""
-    return RotationSystem.point(factor_coords(p))
-
-
-def rotation_step(spec: SystemSpec, p: TorusPoint, n: int = 1) -> TorusPoint:
-    """n-fold rotation of a torus point by the spec's rotation vector."""
-    rot = _require(spec, "torus_rotation")
-    if rot.ndim != p.dims:
-        raise ValueError(f"point has {p.dims} coordinates, rotation has {rot.ndim}")
-    return rot.advance(p, n)
-
-
-def rotation_orbit(spec: SystemSpec, p: TorusPoint, ns: np.ndarray) -> np.ndarray:
-    """Rotation orbit coordinates for an array of integers n; shape (len(ns), dims)."""
-    return _require(spec, "torus_rotation").orbit(RotationSystem.row(p), ns)
-
-
-def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
-    """Sup metric on the torus: max over components of circle distance."""
-    return float(RotationSystem.dist(RotationSystem.row(p), RotationSystem.row(q)))
-
-
-def point_dist(spec: SystemSpec, p, q) -> float:
-    """System-appropriate distance: the nil gauge or the flat torus metric."""
-    s = system_for(spec)
-    return float(s.dist(s.row(p), s.row(q)))
+    return RotationSystem.point(System.factor(np.array(p.as_tuple(), dtype=np.float64)))

@@ -61,6 +61,15 @@ class TestGenerate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("observable", ["vertical-theta", "distance-to-base"])
+    def test_nil_observable_on_a_rotation_is_usage_error(self, tmp_path, capsys, observable):
+        out = tmp_path / "x.csv"
+        code = run(["generate", "--observable", observable, "--system", "torus-rotation",
+                    "--n", "10", "--out", str(out)])
+        assert code == 2
+        assert "observable: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRegtest:
     def make_sequence(self, tmp_path, kind="constant"):
@@ -124,6 +133,14 @@ class TestRegtest:
         report = json.loads(rep.read_text())["report"]
         assert (report["k_lo"], report["k_hi"]) == (n_min + 4, n_min + 94)
         assert {v["k"] for v in report["violations"]} == set(range(n_min + 4, n_min + 95))
+
+    def test_json_window_beyond_int64_exit2(self, tmp_path, capsys):
+        seq = tmp_path / "far.json"
+        seq.write_text(json.dumps({"n_min": 2**63 + 1, "values": [[1.0, 0.0]] * 9}))
+        code = run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.3",
+                    "--delta", "0.3", "--M", "1", "--shift-max", "2"])
+        assert code == 2
+        assert "outside the int64 range" in capsys.readouterr().err
 
     def test_missing_required_field_exit2(self, tmp_path, capsys):
         seq = self.make_sequence(tmp_path)

@@ -23,7 +23,7 @@ class TestSampling:
     def test_n_zero_gives_ab_pattern(self, spec, rng):
         x = random_point(rng)
         q = cb.sample_pgram(spec, x, 3, 0)
-        tx = sy.translate(spec, x, 3)
+        tx = sy.system_for(spec).advance(x, 3)
         assert q.vertices == (x, tx, x, tx)
         assert cb.pgram_residual(q) == 0.0
 
@@ -147,7 +147,7 @@ class TestEuclidPerms:
         m, n = 23, -11
         q = cb.sample_pgram(spec, x, m, n)
         reflected = cb.euclid_perm_quad(q, 1)  # sigma=id, reflect axis 1
-        expected = cb.sample_pgram(spec, sy.translate(spec, x, m), -m, n)
+        expected = cb.sample_pgram(spec, sy.system_for(spec).advance(x, m), -m, n)
         for u, v in zip(reflected.vertices, expected.vertices):
             assert h.dist(u, v) < 1e-9
         assert cb.pgram_residual(reflected) < 1e-9
@@ -224,13 +224,14 @@ class TestPpedResidual:
         # Gluing two sampled parallelepipeds along a common face stays
         # witness-checkable at the doubled horizon.
         H = 25
+        system = sy.system_for(spec)
         for _ in range(10):
             x = random_point(rng)
             m, n = (int(v) for v in rng.integers(-H, H + 1, 2))
             p, q = (int(v) for v in rng.integers(-H // 2, H // 2 + 1, 2))
             u = cb.sample_pgram(spec, x, m, n)
-            v = cb.Quad(*(sy.translate(spec, pt, p) for pt in u.vertices))
-            w = cb.Quad(*(sy.translate(spec, pt, q) for pt in v.vertices))
+            v = cb.Quad(*(system.advance(pt, p) for pt in u.vertices))
+            w = cb.Quad(*(system.advance(pt, q) for pt in v.vertices))
             r_uv = cb.pped_residual(spec, cb.Oct(*u.vertices, *v.vertices), horizon=H)
             r_vw = cb.pped_residual(spec, cb.Oct(*v.vertices, *w.vertices), horizon=H)
             r_uw = cb.pped_residual(spec, cb.Oct(*u.vertices, *w.vertices), horizon=2 * H)

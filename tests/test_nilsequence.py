@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -117,7 +118,7 @@ class TestGenerate:
         u = ns.generate(spec, obs, N + abs(k))
         shifted_vals = []
         for n in range(-N, N + 1):
-            p = sy.orbit_point(spec, n + k)
+            p = sy.system_for(spec).advance(h.NilPoint(0.0, 0.0, 0.0), n + k)
             shifted_vals.append(ns.eval_observable(obs, p))
         window = u.values[(-N + k) - u.n_min : (N + k) - u.n_min + 1]
         assert np.abs(np.asarray(shifted_vals) - window).max() < 1e-6
@@ -292,3 +293,19 @@ class TestIndexRange:
         u = ns.SequenceSample.from_csv(f"n,re,im\n{n_min + 1},3,4\n{n_min},1,2\n")
         assert (u.n_min, u.n_max) == (n_min, n_min + 1)
         assert u.values.tolist() == [1 + 2j, 3 + 4j]
+
+    @pytest.mark.parametrize("n_min", [-2**63, 2**63 - 2])
+    def test_csv_roundtrip_at_the_edges(self, n_min):
+        u = ns.SequenceSample(values=[1 + 2j, 3 + 4j], n_min=n_min)
+        assert u.indices.dtype == np.int64
+        assert u.indices.tolist() == [n_min, n_min + 1]
+        v = ns.SequenceSample.from_csv(u.to_csv())
+        assert (v.n_min, v.values.tolist()) == (n_min, [1 + 2j, 3 + 4j])
+
+    @pytest.mark.parametrize("n_min, length", [(2**63 + 1, 1), (2**63 - 1, 2), (-2**63 - 1, 3)])
+    def test_window_beyond_int64_refused(self, n_min, length):
+        text = json.dumps({"n_min": n_min, "values": [[1.0, 0.0]] * length})
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            ns.SequenceSample.from_json(text)
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            ns.SequenceSample(values=np.ones(length), n_min=n_min)

@@ -65,7 +65,8 @@ class TestRP:
             x = h.NilPoint(*rng.random(3))
             y = h.NilPoint(*rng.random(3))
             record = px.rp_search(spec, x, y, SMALL)
-            mismatch = sy.torus_dist(sy.factor_pi(x), sy.factor_pi(y))
+            fx, fy = sy.factor_pi(x), sy.factor_pi(y)
+            mismatch = sy.RotationSystem.dist(np.array(fx.coords), np.array(fy.coords))
             assert record.eps_achieved >= mismatch - 2 * SMALL.perturb_radius - 1e-12
 
     def test_symmetry(self, spec, rng):
@@ -124,7 +125,7 @@ class TestRP:
         x = sy.TorusPoint((0.1, 0.6))
         y = sy.TorusPoint((0.45, 0.6))
         record = px.rp_search(rot, x, y, SMALL)
-        d = sy.torus_dist(x, y)
+        d = sy.RotationSystem.dist(np.array(x.coords), np.array(y.coords))
         assert record.eps_achieved >= d - 2 * SMALL.perturb_radius - 1e-12
 
 
@@ -174,7 +175,7 @@ class TestRP2:
         for _ in range(5):
             x = sy.TorusPoint(tuple(rng.random(2)))
             y = sy.TorusPoint(tuple(rng.random(2)))
-            d = sy.torus_dist(x, y)
+            d = sy.RotationSystem.dist(np.array(x.coords), np.array(y.coords))
             if d < 4 * SMALL.perturb_radius:
                 continue
             record = px.rp2_search(rot, x, y, SMALL)
@@ -184,7 +185,8 @@ class TestRP2:
         x = h.NilPoint(0.1, 0.2, 0.3)
         y = h.NilPoint(0.5, 0.2, 0.3)
         record = px.rp2_search(spec, x, y, SMALL)
-        tor = sy.torus_dist(sy.factor_pi(x), sy.factor_pi(y))
+        fx, fy = sy.factor_pi(x), sy.factor_pi(y)
+        tor = sy.RotationSystem.dist(np.array(fx.coords), np.array(fy.coords))
         assert record.eps_achieved >= 0.5 * tor - SMALL.perturb_radius
 
 
@@ -440,7 +442,7 @@ class TestRotationInfimum:
         for _ in range(4):
             x = sy.TorusPoint(tuple(rng.random(dims)))
             y = sy.TorusPoint(tuple(rng.random(dims)))
-            d = sy.torus_dist(x, y)
+            d = sy.RotationSystem.dist(np.array(x.coords), np.array(y.coords))
             for r in (0.01, 0.05, 0.2):
                 floor = max(d / 3, d - 2 * r)
                 excess = []

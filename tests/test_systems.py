@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nilscope import cubes as cb
 from nilscope import heisenberg as h
+from nilscope import proximality as px
 from nilscope import systems as sy
 
 
@@ -41,32 +43,33 @@ class TestStep:
     def test_zero_translation_fixes(self):
         frozen = sy.SystemSpec(alpha=0.0, beta=0.0, gamma0=0.0)
         p = h.NilPoint(0.3, 0.4, 0.5)
-        assert sy.step(frozen, p) == p
+        assert sy.system_for(frozen).advance(p, 1) == p
 
     def test_base_point_moves_to_translation(self, spec):
         e = h.reduce(h.IDENTITY)
-        assert sy.step(spec, e) == h.reduce(spec.translation)
+        assert sy.system_for(spec).advance(e, 1) == h.reduce(spec.translation)
 
     def test_iteration_matches_closed_form(self, spec):
+        system = sy.system_for(spec)
         p = h.reduce(h.IDENTITY)
         for _ in range(10_000):
-            p = sy.step(spec, p)
-        q = sy.orbit_point(spec, 10_000)
+            p = system.advance(p, 1)
+        q = system.advance(h.reduce(h.IDENTITY), 10_000)
         assert h.dist(p, q) < 1e-6
 
     def test_requires_heisenberg(self):
         rot = sy.SystemSpec(kind="torus_rotation")
         with pytest.raises(ValueError):
-            sy.step(rot, h.NilPoint(0, 0, 0))
+            sy.system_for(rot).advance(h.NilPoint(0, 0, 0), 1)
 
 
 class TestOrbitPoint:
     def test_zero_power(self, spec):
-        assert sy.orbit_point(spec, 0) == h.NilPoint(0.0, 0.0, 0.0)
+        assert sy.system_for(spec).advance(h.NilPoint(0.0, 0.0, 0.0), 0) == h.NilPoint(0.0, 0.0, 0.0)
 
     def test_half_half_square(self):
         s2 = sy.SystemSpec(alpha=0.5, beta=0.5, gamma0=0.0)
-        assert sy.orbit_point(s2, 2) == h.NilPoint(0.0, 0.0, 0.25)
+        assert sy.system_for(s2).advance(h.NilPoint(0.0, 0.0, 0.0), 2) == h.NilPoint(0.0, 0.0, 0.25)
 
     @pytest.mark.parametrize("n", [1, 10, 1000, -1, -10, -1000])
     def test_matches_iteration_both_signs(self, spec, n):
@@ -74,27 +77,31 @@ class TestOrbitPoint:
         t = spec.translation if n > 0 else h.inv(spec.translation)
         for _ in range(abs(n)):
             p = h.reduce(h.mul(t, p.as_group()))
-        assert h.dist(p, sy.orbit_point(spec, n)) < 1e-6
+        assert h.dist(p, sy.system_for(spec).advance(h.reduce(h.IDENTITY), n)) < 1e-6
 
     @given(st.integers(-1000, 1000))
     def test_negative_power_is_inverse_power(self, n):
         spec = sy.default_heisenberg(gamma0=0.123)
-        direct = sy.orbit_point(spec, -n)
-        via_inv = h.reduce(h.inv(sy._power(spec, n)))
+        system = sy.system_for(spec)
+        direct = system.advance(h.reduce(h.IDENTITY), -n)
+        via_inv = h.reduce(h.inv(h.GroupElement(*system.powers(n))))
         assert h.dist(direct, via_inv) < 1e-9
 
     @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
     def test_cocycle(self, m, n):
         spec = sy.default_heisenberg()
-        combined = sy.orbit_point(spec, m + n)
-        product = h.reduce(h.mul(sy._power(spec, m), sy._power(spec, n)))
+        system = sy.system_for(spec)
+        combined = system.advance(h.reduce(h.IDENTITY), m + n)
+        t_m, t_n = h.GroupElement(*system.powers(m)), h.GroupElement(*system.powers(n))
+        product = h.reduce(h.mul(t_m, t_n))
         assert h.dist(combined, product) < 1e-9
 
     def test_array_matches_scalar(self, spec):
+        system = sy.system_for(spec)
         ns = np.arange(-200, 201)
-        arr = sy.orbit_points_arr(spec, ns)
+        arr = system.orbit(np.zeros(3), ns)
         for row, n in zip(arr, ns):
-            assert np.allclose(row, sy.orbit_point(spec, int(n)).as_tuple(), atol=1e-10)
+            assert np.allclose(row, system.advance(h.reduce(h.IDENTITY), int(n)).as_tuple(), atol=1e-10)
 
 
 class TestFactor:
@@ -107,20 +114,22 @@ class TestFactor:
         assert sy.factor_pi(p) == sy.factor_pi(q)
 
     def test_equivariance(self, spec, rng):
-        rot = sy.SystemSpec(kind="torus_rotation", alpha=spec.alpha, beta=spec.beta)
+        system = sy.system_for(spec)
+        rot = sy.system_for(sy.SystemSpec(kind="torus_rotation", alpha=spec.alpha, beta=spec.beta))
         for _ in range(500):
             p = h.NilPoint(*rng.random(3))
-            lhs = sy.factor_pi(sy.step(spec, p))
-            rhs = sy.rotation_step(rot, sy.factor_pi(p))
-            assert sy.torus_dist(lhs, rhs) < 1e-12
+            lhs = sy.factor_pi(system.advance(p, 1))
+            rhs = rot.advance(sy.factor_pi(p), 1)
+            assert rot.dist(rot.row(lhs), rot.row(rhs)) < 1e-12
 
     def test_central_translation_commutes_with_step(self, spec, rng):
+        system = sy.system_for(spec)
         for _ in range(200):
             p = h.NilPoint(*rng.random(3))
             c = float(rng.random())
             shifted = h.reduce(h.mul(p.as_group(), h.GroupElement(0.0, 0.0, c)))
-            lhs = sy.step(spec, shifted)
-            rhs = h.reduce(h.mul(sy.step(spec, p).as_group(), h.GroupElement(0.0, 0.0, c)))
+            lhs = system.advance(shifted, 1)
+            rhs = h.reduce(h.mul(system.advance(p, 1).as_group(), h.GroupElement(0.0, 0.0, c)))
             assert h.dist(lhs, rhs) < 1e-12
 
 
@@ -128,12 +137,12 @@ class TestRotation:
     def test_zero_rotation(self):
         rot = sy.SystemSpec(kind="torus_rotation", alpha=0.0, beta=0.0)
         p = sy.TorusPoint((0.3, 0.9))
-        assert sy.rotation_step(rot, p) == p
+        assert sy.system_for(rot).advance(p, 1) == p
 
     def test_wraparound(self):
         rot = sy.SystemSpec(kind="torus_rotation", alpha=0.2, dims=1)
         p = sy.TorusPoint((0.9,))
-        q = sy.rotation_step(rot, p)
+        q = sy.system_for(rot).advance(p, 1)
         assert abs(q.coords[0] - 0.1) < 1e-12
 
     @given(st.integers(1, 10_000))
@@ -142,7 +151,7 @@ class TestRotation:
         p = sy.TorusPoint((0.25, 0.8))
         stepped = p
         # closed form: add n*alpha directly
-        direct = sy.rotation_step(rot, p, n)
+        direct = sy.system_for(rot).advance(p, n)
         expected = tuple((c + n * v) % 1.0 for c, v in zip(p.coords, rot.rotation_vector))
         assert all(
             min(abs(a - b), 1 - abs(a - b)) < 1e-9 for a, b in zip(direct.coords, expected)
@@ -151,18 +160,38 @@ class TestRotation:
     def test_dimension_mismatch_rejected(self):
         rot = sy.SystemSpec(kind="torus_rotation", dims=2)
         with pytest.raises(ValueError):
-            sy.rotation_step(rot, sy.TorusPoint((0.5,)))
+            sy.system_for(rot).advance(sy.TorusPoint((0.5,)), 1)
+
+
+CIRCLE = sy.SystemSpec(kind="torus_rotation", dims=1)
+PLANE_POINT = sy.TorusPoint((0.1, 0.2))
+
+
+class TestPointCheck:
+    """A point of the wrong dimension is refused by name, never broadcast."""
+
+    @pytest.mark.parametrize("call, name, ndim", [
+        (lambda: sy.system_for(CIRCLE).advance(PLANE_POINT, 1), "point", 1),
+        (lambda: cb.sample_pped(CIRCLE, PLANE_POINT, 1, 2, 3), "base", 1),
+        (lambda: cb.pped_search(CIRCLE, cb.Oct(*[PLANE_POINT] * 8), horizon=3), "v0", 1),
+        (lambda: px.rp_search(sy.SystemSpec(kind="torus_rotation", dims=2),
+                              sy.TorusPoint((0.1,)), sy.TorusPoint((0.3,))), "x", 2),
+    ], ids=["advance", "sample_pped", "pped_search", "rp_search"])
+    def test_wrong_dimension_names_the_point(self, call, name, ndim):
+        message = f"^{name}: a torus_rotation system needs {ndim}-coordinate points$"
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 KIND_SCALARS = {
-    # kind: (scalar orbit step, its array form, scalar distance)
-    "heisenberg": (sy.translate, sy.translate_arr, h.dist),
-    "torus_rotation": (sy.rotation_step, sy.rotation_orbit, sy.torus_dist),
+    # kind: scalar distance of two points
+    "heisenberg": h.dist,
+    "torus_rotation": lambda p, q: float(sy.RotationSystem.dist(np.array(p.coords), np.array(q.coords))),
 }
 
 
 class TestSystemProtocol:
-    """The scalar forms are thin wrappers over one array kernel per kind."""
+    """Single points go through the one array kernel per kind, bit for bit."""
 
     @pytest.fixture(params=sorted(KIND_SCALARS))
     def kind(self, request):
@@ -177,23 +206,22 @@ class TestSystemProtocol:
 
     def test_scalar_orbit_is_array_kernel(self, kind, rng):
         spec, system, rows = self.make(kind, rng)
-        scalar, array, _ = KIND_SCALARS[kind]
         ns = rng.integers(-600, 601, len(rows))
         for row, n in zip(rows, ns):
             p = system.point(row)
-            expected = array(spec, p, np.array([n]))[0]
-            assert np.array_equal(system.row(scalar(spec, p, int(n))), expected)
+            expected = system.orbit(system.row(p), np.array([n]))[0]
+            assert np.array_equal(system.row(system.advance(p, int(n))), expected)
             assert np.array_equal(system.orbit(row, n), expected)
 
     def test_scalar_dist_is_array_kernel(self, kind, rng):
-        spec, system, rows = self.make(kind, rng)
-        _, _, scalar = KIND_SCALARS[kind]
+        _, system, rows = self.make(kind, rng)
+        scalar = KIND_SCALARS[kind]
         other = rng.random(rows.shape)
         kernel = system.dist(rows, other)
         for prow, qrow, d in zip(rows, other, kernel):
             p, q = system.point(prow), system.point(qrow)
             assert scalar(p, q) == d
-            assert sy.point_dist(spec, p, q) == d
+            assert float(system.dist(system.row(p), system.row(q))) == d
 
     def test_reduce_is_reduce_arr(self, rng):
         g = (rng.random((500, 3)) - 0.5) * 20.0 * 0.37
