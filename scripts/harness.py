@@ -27,12 +27,13 @@ from nilscope import cli  # noqa: E402
 import workloads  # noqa: E402
 
 
-def parse_args(doc: str, argv, passes: int | None = None) -> argparse.Namespace:
-    """WORKLOAD SEED, and ``--passes N`` (at least 1) when ``passes`` gives its default;
-    the first paragraph of ``doc`` describes the script."""
+def parse_args(doc: str, argv, passes: int | None = None, seeds: bool = False):
+    """WORKLOAD SEED (with ``seeds``, one or more SEEDs, as the list ``seed``), and
+    ``--passes N`` (at least 1) when ``passes`` gives its default; the first
+    paragraph of ``doc`` describes the script."""
     parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("seed", type=int)
+    parser.add_argument("seed", type=int, nargs="+" if seeds else None)
     if passes is not None:
         parser.add_argument("--passes", type=int, default=passes)
     args = parser.parse_args(argv)

@@ -11,9 +11,11 @@ so no path of the run reaches a report.  One line per job,
 
 ("-" when a job wrote no report), then ``total sha256`` over those lines.
 Two checkouts that print the same total wrote byte-identical reports.
+Given several seeds, the script prints these lines for each seed in
+turn, as one run per seed would.
 
 Usage:
-    python scripts/report_digests.py WORKLOAD SEED
+    python scripts/report_digests.py WORKLOAD SEED [SEED ...]
     (WORKLOAD is certify, witness or complete)
 """
 
@@ -37,13 +39,14 @@ def digests(workload: str, seed: int):
 
 
 def main(argv=None) -> int:
-    args = parse_args(__doc__, argv)
-    total = hashlib.sha256()
-    for job_id, rc, digest in digests(args.workload, args.seed):
-        line = f"{job_id} {rc} {digest}"
-        print(line)
-        total.update(f"{line}\n".encode())
-    print(f"total {total.hexdigest()}")
+    args = parse_args(__doc__, argv, seeds=True)
+    for seed in args.seed:
+        total = hashlib.sha256()
+        for job_id, rc, digest in digests(args.workload, seed):
+            line = f"{job_id} {rc} {digest}"
+            print(line)
+            total.update(f"{line}\n".encode())
+        print(f"total {total.hexdigest()}")
     return 0
 
 

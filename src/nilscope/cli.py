@@ -24,7 +24,8 @@ its record depends on how far the scan got in time.
 A config file (``--config``, ``key = value`` lines, ``#`` comments)
 supplies defaults; explicit flags win.  Every command runs
 single-threaded: ``--workers`` (default $NILSCOPE_WORKERS, else 1) is
-validated on every subcommand but otherwise ignored.
+checked by every subcommand, before anything else is read past the
+config (below 1 exits 2), and otherwise ignored.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -152,14 +152,18 @@ def _dump_json(obj) -> str:
     return "".join(_json_chunks(obj))
 
 
+def _read_text(path: str, field: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"{field}: cannot read {path}: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     cfg = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"config: cannot read {path}: {exc}") from None
+    text = _read_text(path, "config")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,6 +181,10 @@ class _Resolver:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _load_config(args.config)
+        # Every command checks the worker count, and none uses it (see module docs).
+        env = os.environ.get("NILSCOPE_WORKERS")
+        if self.get("workers", int(env) if env and env.isdigit() else 1, int) < 1:
+            raise UsageError("workers: must be >= 1")
 
     def get(self, name: str, default, cast):
         value = getattr(self.args, name, None)
@@ -229,15 +237,10 @@ def _point_from_coords(coords):
     raise UsageError(f"point {coords}: want 1, 2 or 3 coordinates")
 
 
-def _point_to_list(point):
-    return list(point.as_tuple())
-
-
 def _load_points_file(path: str, expected: int):
+    text = _read_text(path, "input")
     try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise UsageError(f"input: cannot read {path}: {exc}") from None
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"input: {path} is not valid JSON: {exc}") from None
     rows = payload.get("points") if isinstance(payload, dict) else payload
@@ -260,15 +263,12 @@ def _check_points(spec: SystemSpec, points, field: str) -> None:
 
 
 def _load_sequence(path: str) -> nilsequence.SequenceSample:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"input: cannot read {path}: {exc}") from None
+    text = _read_text(path, "input")
     try:
         if path.endswith(".json"):
             return nilsequence.SequenceSample.from_json(text)
         return nilsequence.SequenceSample.from_csv(text)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, OverflowError) as exc:  # a JSON integer may not fit a double
         raise UsageError(f"input: {path}: {exc}") from None
 
 
@@ -284,24 +284,19 @@ def _system_from(res: _Resolver) -> SystemSpec:
         raise UsageError(f"system: {exc}") from None
 
 
-def _workers_from(res: _Resolver) -> int:
-    """The validated worker count; no command uses it, as all run single-threaded."""
-    env = os.environ.get("NILSCOPE_WORKERS")
-    default = int(env) if env and env.isdigit() else 1
-    workers = res.get("workers", default, int)
-    if workers < 1:
-        raise UsageError("workers: must be >= 1")
-    return workers
+def _print(payload: dict, res: _Resolver, summary: str) -> None:
+    """The payload as JSON on stdout with ``--json``, else the summary line."""
+    if res.args.json:
+        sys.stdout.writelines(_json_chunks(payload))
+    else:
+        print(summary)
 
 
 def _emit(payload: dict, res: _Resolver, summary: str) -> None:
     out = res.get("out", None, str)
     if out:
         _atomic_write(out, _json_chunks(payload))
-    if getattr(res.args, "json", False):
-        sys.stdout.writelines(_json_chunks(payload))
-    else:
-        print(summary)
+    _print(payload, res, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +316,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise UsageError(f"format: unknown format {fmt!r}")
 
     if observable == "quadratic_phase":
-        alpha = res.get("alpha", math.sqrt(2.0) - 1.0, float)
+        alpha = res.get("alpha", systems.DEFAULT_ALPHA, float)
         sample = nilsequence.quadratic_phase(alpha, N)
     else:
         spec = _system_from(res)
@@ -349,22 +344,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         f"wrote {len(sample.values)} samples (n in [{sample.n_min}, {sample.n_max}]) "
         f"to {out}; observable={observable} max|u|={bound:.6g}"
     )
-    if args.json:
-        sys.stdout.write(
-            _dump_json(
-                {
-                    "command": "generate",
-                    "observable": observable,
-                    "rows": len(sample.values),
-                    "n_min": sample.n_min,
-                    "n_max": sample.n_max,
-                    "max_abs": bound,
-                    "out": out,
-                }
-            )
-        )
-    else:
-        print(summary)
+    payload = {"command": "generate", "observable": observable, "rows": len(sample.values),
+               "n_min": sample.n_min, "n_max": sample.n_max, "max_abs": bound, "out": out}
+    _print(payload, res, summary)
     return EXIT_OK
 
 
@@ -392,11 +374,8 @@ def cmd_regtest(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     u = _load_sequence(res.require("input", str))
     order = res.require("order", int)
-    if order not in (1, 2):
-        raise UsageError("order: must be 1 or 2")
     eps = res.require("eps", float)
     shift_max = res.get("shift_max", 10, int)
-    _workers_from(res)
     k_min = res.get("k_min", None, int)
     k_max = res.get("k_max", None, int)
     k_range = None
@@ -474,23 +453,27 @@ def cmd_pgram_test(args: argparse.Namespace) -> int:
         "residual": residual,
         "tol": tol,
         "member": member,
-        "points": [_point_to_list(p) for p in points],
+        "points": [list(p.as_tuple()) for p in points],
     }
     _emit(payload, res, f"pgram residual {residual:.3e} (tol {tol:.1e}): "
           + ("member", "not certified")[not member])
     return EXIT_OK if member else EXIT_FINDING
 
 
-def cmd_pped_test(args: argparse.Namespace) -> int:
+def _cube_job(args: argparse.Namespace, count: int):
+    """(resolver, spec, points, horizon, resid_tol) of a parallelepiped command, checked."""
     res = _Resolver(args)
-    points = _load_points_file(res.require("input", str), 8)
+    points = _load_points_file(res.require("input", str), count)
     spec = _system_from(res)
     _check_points(spec, points, "input")
     horizon = res.get("horizon", cubes.DEFAULT_HORIZON, int)
-    resid_tol = res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
-    _workers_from(res)
     if horizon < 1:
         raise UsageError("horizon: must be >= 1")
+    return res, spec, points, horizon, res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
+
+
+def cmd_pped_test(args: argparse.Namespace) -> int:
+    res, spec, points, horizon, resid_tol = _cube_job(args, 8)
     witness = cubes.pped_search(spec, cubes.Oct(*points), horizon, resid_tol)
     below = witness.residual < resid_tol
     payload = {
@@ -512,16 +495,8 @@ def cmd_pped_test(args: argparse.Namespace) -> int:
 
 
 def cmd_pped_complete(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    points = _load_points_file(res.require("input", str), 7)
-    spec = _system_from(res)
-    _check_points(spec, points, "input")
-    horizon = res.get("horizon", cubes.DEFAULT_HORIZON, int)
+    res, spec, points, horizon, resid_tol = _cube_job(args, 7)
     face_tol = res.get("face_tol", cubes.DEFAULT_FACE_TOL, float)
-    resid_tol = res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
-    _workers_from(res)
-    if horizon < 1:
-        raise UsageError("horizon: must be >= 1")
     try:
         result = cubes.pped_complete(spec, points, horizon, face_tol, resid_tol)
     except cubes.FacePreconditionError as exc:
@@ -538,7 +513,7 @@ def cmd_pped_complete(args: argparse.Namespace) -> int:
         return EXIT_FINDING
     payload = {
         "command": "pped-complete",
-        "x7": _point_to_list(result.x7),
+        "x7": list(result.x7.as_tuple()),
         "residual": result.residual,
         "witness": {"m": result.witness_mnp[0], "n": result.witness_mnp[1], "p": result.witness_mnp[2]},
         "spread": result.spread,
@@ -551,7 +526,7 @@ def cmd_pped_complete(args: argparse.Namespace) -> int:
     _emit(
         payload,
         res,
-        f"x7 = {_point_to_list(result.x7)} residual {result.residual:.3e} "
+        f"x7 = {list(result.x7.as_tuple())} residual {result.residual:.3e} "
         f"spread {spread} [{result.status}]",
     )
     return EXIT_OK if result.status == "ok" else EXIT_FINDING
@@ -567,12 +542,11 @@ def _load_pair(res: _Resolver, spec: SystemSpec):
     x_raw = res.get("x", None, str)
     y_raw = res.get("y", None, str)
     if input_path:
+        text = _read_text(input_path, "input")
         try:
-            payload = json.loads(Path(input_path).read_text())
+            payload = json.loads(text)
             x = _point_from_coords(payload["x"])
             y = _point_from_coords(payload["y"])
-        except OSError as exc:
-            raise UsageError(f"input: cannot read {input_path}: {exc}") from None
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise UsageError(f"input: {input_path}: expected JSON with x, y: {exc}") from None
     elif x_raw and y_raw:
@@ -588,7 +562,6 @@ def _cmd_prox(args: argparse.Namespace, which: str) -> int:
     res = _Resolver(args)
     spec = _system_from(res)
     x, y = _load_pair(res, spec)
-    _workers_from(res)
     fields = dataclasses.fields(proximality.SearchBudget)
     try:
         budget = proximality.SearchBudget(
@@ -606,8 +579,8 @@ def _cmd_prox(args: argparse.Namespace, which: str) -> int:
         "eps_achieved": record.eps_achieved,
         "m": record.m,
         "n": record.n,
-        "x_prime": _point_to_list(record.x_prime),
-        "y_prime": _point_to_list(record.y_prime),
+        "x_prime": list(record.x_prime.as_tuple()),
+        "y_prime": list(record.y_prime.as_tuple()),
         "exhausted": record.exhausted,
         "budget": dataclasses.asdict(budget),
         "seed": seed,
@@ -710,10 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--x", help="x point as x,y,z")
         s.add_argument("--y", help="y point as x,y,z")
         s.add_argument("--input", help="JSON file with fields x, y")
-        s.add_argument("--n-max", dest="n_max", type=int)
-        s.add_argument("--perturb-samples", dest="perturb_samples", type=int)
-        s.add_argument("--perturb-radius", dest="perturb_radius", type=float)
-        s.add_argument("--time-cap-ms", dest="time_cap_ms", type=int)
+        for f in dataclasses.fields(proximality.SearchBudget):
+            s.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
         s.add_argument("--seed", type=int)
         _add_system(s)
         _add_common(s)

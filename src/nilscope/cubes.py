@@ -84,7 +84,6 @@ __all__ = [
     "sample_pgram",
     "sample_pped",
     "pgram_residual",
-    "is_pgram",
     "face",
     "COMPLETION_FACES",
     "euclid_perm_quad",
@@ -92,7 +91,6 @@ __all__ = [
     "n_square_perms",
     "n_cube_perms",
     "pped_search",
-    "pped_residual",
     "pped_complete",
 ]
 
@@ -234,10 +232,6 @@ def pgram_residual(q: Quad) -> float:
     return float(RotationSystem.dist(f0 - f2, f1 - f3))
 
 
-def is_pgram(q: Quad, tol: float = DEFAULT_PGRAM_TOL) -> bool:
-    return pgram_residual(q) < tol
-
-
 # ---------------------------------------------------------------------------
 # Faces and euclidean permutations
 # ---------------------------------------------------------------------------
@@ -337,9 +331,10 @@ class _Tables(dict):
     """Tables {v: (offset, D)}, each D a row of one (vertex, shift) array of floors.
 
     An entry is exact once filled (see module docs); each fill is one call.
+    The entries whose floor is below ``bound`` are filled at once.
     """
 
-    def __init__(self, system: System, base, targets: dict[int, object], horizon: int):
+    def __init__(self, system: System, base, targets: dict, horizon: int, bound=np.inf):
         shifts = vertex_shifts((horizon,) * 3)
         offs = [shifts[v] for v in targets]
         self.top, self.dist = max(offs), system.dist
@@ -351,6 +346,7 @@ class _Tables(dict):
         self.todo = (np.abs(span) <= np.array(offs)[:, None]) & (system.floor is not system.dist)
         super().__init__((v, (off, self.D[i, self.top - off : self.top + off + 1]))
                          for i, (v, off) in enumerate(zip(targets, offs)))
+        self.fill(self.D < bound)
 
     def fill(self, where):
         """Make exact, in one distance call, the entries of a (vertex, shift) mask."""
@@ -370,13 +366,6 @@ class _Tables(dict):
         """Whether every lookup of the cell ns reads an exact entry."""
         shifts = vertex_shifts(ns)
         return not any(self.todo[i, shifts[v] + self.top] for i, v in enumerate(self))
-
-
-def _build_tables(system: System, base, targets: dict[int, object], horizon: int, bound=np.inf):
-    """Distance tables per vertex, exact wherever the floor is below bound (see _Tables)."""
-    tables = _Tables(system, base, targets, horizon)
-    tables.fill(tables.D < bound)
-    return tables
 
 
 def _order_key(*ns: int) -> tuple[int, ...]:
@@ -486,7 +475,7 @@ def _search(system, base, targets, horizon, resid_tol):
     """Shared search core (see module docs); returns (residual, (m, n, p), early_exit, tables)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    tables = _build_tables(system, base, targets, horizon, resid_tol)
+    tables = _Tables(system, base, targets, horizon, resid_tol)
     span = np.arange(-horizon, horizon + 1)
     hit = _cube_min(tables, [span] * 3, resid_tol, first=True)
     if hit is not None:
@@ -525,16 +514,6 @@ def pped_search(
     targets = {v: o.vertices[v] for v in range(1, 8)}
     residual, mnp, early, _ = _search(system_for(spec), o.v0, targets, horizon, resid_tol)
     return PpedWitness(residual, mnp[0], mnp[1], mnp[2], early)
-
-
-def pped_residual(
-    spec: SystemSpec,
-    o: Oct,
-    horizon: int = DEFAULT_HORIZON,
-    resid_tol: float = DEFAULT_RESID_TOL,
-) -> float:
-    """Approximate parallelepiped membership score (one-sided; see module docs)."""
-    return pped_search(spec, o, horizon, resid_tol).residual
 
 
 def pped_complete(

@@ -148,9 +148,21 @@ class SequenceSample:
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceSample":
+        """An object with an integer ``n_min`` and ``values`` as [re, im] rows of
+        reals; ValueError naming the field otherwise."""
         payload = json.loads(text)
-        vals = np.array([complex(re, im) for re, im in payload["values"]])
-        return cls(values=vals, n_min=int(payload["n_min"]), meta=payload.get("meta", {}))
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object with n_min and values")
+        # json gives int, float, bool, str, None, list or dict: bool is not a number.
+        n_min, rows = payload.get("n_min"), payload.get("values")
+        if type(n_min) is not int:
+            raise ValueError(f"n_min: expected an integer, got {n_min!r}")
+        if not isinstance(rows, list) or any(
+            type(r) is not list or len(r) != 2 or {type(c) for c in r} - {int, float} for r in rows
+        ):
+            raise ValueError("values: expected a list of [re, im] rows of reals")
+        vals = np.array([complex(re, im) for re, im in rows])
+        return cls(values=vals, n_min=n_min, meta=payload.get("meta", {}))
 
 
 _CSV_ROW = np.dtype([("n", np.int64), ("re", np.float64), ("im", np.float64)])

@@ -22,14 +22,14 @@ number k of time axes (1 for RP's n, 2 for the RP2/RPDS times m, n,
 m+n) and in what a pair compares.
 
 Pairs are visited in order of their perturbation cost.  A pair is first
-cut by the factor bound: the factor map is equivariant onto a rotation,
-an isometry of the circle sup-distance d_Z, and the gauge and the torus
-metric are at least d_Z of the factor coordinates.  So at every time
-shift the RP and RP2 costs are at least d_Z(pi x', pi y'), and the RPDS
-cost, which measures both orbits against y, at least half of it
-(triangle inequality on Z).  A pair whose bound, less a margin for the
-orbit rounding that grows with n_max (see ``_factor_bound``), is at or
-above the best value so far is skipped, and its tables are not built.
+cut by the kind's ``floor``, the circle sup-distance d_Z of the factor
+coordinates: the factor map is equivariant onto a rotation, an isometry
+of d_Z, and the distance is at least d_Z.  So at every time shift the
+RP and RP2 costs are at least d_Z(pi x', pi y'), and the RPDS cost,
+which measures both orbits against y, at least half of it (triangle
+inequality on Z).  A pair whose bound, less a margin for the orbit
+rounding that grows with n_max (see ``_factor_bound``), is at or above
+the best value so far is skipped, and its tables are not built.
 ``cubes._cube_min`` scans each remaining pair's time shifts below the
 best value so far.  Its single-axis pruning is exact: only shifts whose
 own cost is below that bound enter the grid, and a pair with none is
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubes import Oct, _cube_min, vertex_shifts
-from .systems import RotationSystem, System, SystemSpec, system_for
+from .systems import System, SystemSpec, system_for
 
 __all__ = [
     "SearchBudget",
@@ -97,8 +97,9 @@ class SearchBudget:
             raise ValueError("n_max and perturb_samples must be positive")
         if self.perturb_samples >= _SEED_STRIDE:
             raise ValueError(f"perturb_samples must be below {_SEED_STRIDE}")
-        if not self.perturb_radius > 0:
-            raise ValueError("perturb_radius must be positive")
+        # Every distance here is below 1, so a larger ball is the whole space.
+        if not 0 < self.perturb_radius <= 1:
+            raise ValueError("perturb_radius must be in (0, 1]")
         if self.time_cap_ms <= 0:
             raise ValueError("time_cap_ms must be positive")
 
@@ -185,28 +186,29 @@ def _factor_bound(system, xp, yp, budget, relation):
     """K x K lower bounds on the inner minimum of each pair, less their margin.
 
     Entry (i, j) is at most the pair objective at every time shift, as
-    computed.  The factor map is equivariant onto a rotation, an isometry
-    of the circle sup-distance d_Z, and both the gauge and the torus
-    metric are at least d_Z of the factor coordinates (the gauge's |ux|
-    and |uy| terms are lifts of their difference).  So RP and RP2 cost
-    at least d_Z(pi x', pi y') at every shift.  RPDS measures both orbits
-    against the unperturbed y, so by the triangle inequality on Z the
-    larger of its two return distances is at least half of that.
+    computed.  ``system.floor`` is d_Z, the circle sup-distance of the
+    factor coordinates; the factor map is equivariant onto a rotation,
+    an isometry of d_Z, and the distance is at least d_Z.  So RP and RP2
+    cost at least d_Z(pi x', pi y') at every shift.  RPDS measures both
+    orbits against the unperturbed y, so by the triangle inequality on Z
+    the larger of its two return distances is at least half of that.
 
     The margin covers the float rounding, with u = 2**-53 and
     a = max(|alpha|, |beta|).  A factor coordinate of the orbit at shift
     s is s*alpha (or s*beta), plus the coordinate, reduced mod 1: three
     roundings, at most (2|s| a + 2) u off the exact rotation; |s| <= k n_max
     (k = 1 for RP, 2 for RP2 and RPDS).  Both orbits move; the distance
-    on the orbits rounds by at most 4u and the bound itself by 1.5u.  So
+    on the orbits rounds by at most 4u.  The bound itself rounds by at
+    most 2u: ``floor_arr`` rounds twice, at q + a and at p - (q + a),
+    each by at most u on lifts below 2 (the torus distance by 1.5u).  So
     the computed objective is at least the computed bound less
-    (4 k n_max a + 9.5) u, and the margin (k n_max a + 4) * 2**-50 is
+    (4 k n_max a + 10) u, and the margin (k n_max a + 4) * 2**-50 is
     more than twice that (for RPDS, four times the halved slack).
     """
     k = _AXES[relation]
     a = max(abs(system.spec.alpha), abs(system.spec.beta))
     margin = (k * budget.n_max * a + 4.0) * 2.0**-50
-    bound = RotationSystem.dist(system.factor(xp)[:, None], system.factor(yp)[None])
+    bound = system.floor(xp[:, None], yp[None])
     return (0.5 if relation == "RPDS" else 1.0) * bound - margin
 
 

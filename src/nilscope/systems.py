@@ -280,6 +280,8 @@ class RotationSystem(System):
 
     @staticmethod
     def character(coords: np.ndarray, k1: int, k2: int) -> np.ndarray:
+        if k2 and coords.shape[-1] == 1:
+            raise ValueError(f"k2 = {k2} needs a second torus coordinate (dims = 1)")
         # k . x as a matrix product, which rounds differently from the
         # Heisenberg k1*x + k2*y; each kind keeps its own order so that
         # generated sequences stay bit-identical.

@@ -54,6 +54,14 @@ class TestGenerate:
             run(["generate", "--observable", "torus-character"])
         assert exc.value.code == 2
 
+    def test_one_torus_character_with_k2_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["generate", "--observable", "torus-character", "--system", "torus-rotation",
+                    "--dims", "1", "--k1", "1", "--k2", "1", "--n", "10", "--out", str(out)])
+        assert code == 2
+        assert "observable: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_observable_params(self, tmp_path):
         code = run(
             ["generate", "--observable", "vertical-theta", "--m-freq", "0",
@@ -141,6 +149,23 @@ class TestRegtest:
                     "--delta", "0.3", "--M", "1", "--shift-max", "2"])
         assert code == 2
         assert "outside the int64 range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"n_min": 0, "values": [1, 2, 3]}, "values"),
+        ({"n_min": None, "values": [[1.0, 0.0]]}, "n_min"),
+        ([[1.0, 0.0]], "object"),
+        ({"n_min": 0, "values": [["a", 0]]}, "values"),
+        ({"n_min": 0.5, "values": [[1.0, 0.0]]}, "n_min"),
+        ({"n_min": 0, "values": [[10**400, 0]]}, "too large"),
+    ], ids=["scalar-rows", "null-n_min", "top-level-list", "text-row", "fractional-n_min",
+            "huge-int"])
+    def test_malformed_json_sequence_exit2(self, tmp_path, capsys, payload, field):
+        seq = tmp_path / "bad.json"
+        seq.write_text(json.dumps(payload))
+        code = run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.3",
+                    "--delta", "0.3", "--M", "1", "--shift-max", "2"])
+        assert code == 2
+        assert field in capsys.readouterr().err
 
     def test_missing_required_field_exit2(self, tmp_path, capsys):
         seq = self.make_sequence(tmp_path)
@@ -457,6 +482,15 @@ class TestProxCommands:
                     "--n-max", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("radius", ["inf", "1e300"])
+    def test_perturb_radius_beyond_the_space_is_usage_error(self, tmp_path, capsys, radius):
+        out = tmp_path / "rp.json"
+        code = run(["rp-search", "--x", "0.1,0.2,0.3", "--y", "0.4,0.5,0.6",
+                    "--perturb-radius", radius, "--out", str(out)])
+        assert code == 2
+        assert "budget: perturb_radius" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["rp-search", "rp2-search", "rpds-search"])
     def test_budget_from_config_file(self, tmp_path, capsys, command):
         pair = ["--x", "0.3,0.4,0.2", "--y", "0.3,0.4,0.7"]
@@ -539,6 +573,28 @@ class TestDeterminism:
                         "--workers", str(workers), "--out", str(rp2)]) == 0
             outputs[tag] = (reg.read_bytes(), comp.read_bytes(), rp2.read_bytes())
         assert outputs["w1"] == outputs["w4"]
+
+    @pytest.mark.parametrize("command", ["generate", "regtest", "pgram-test", "pped-test",
+                                         "pped-complete", "rp-search", "rp2-search",
+                                         "rpds-search"])
+    def test_zero_workers_is_usage_error_on_every_subcommand(self, tmp_path, capsys, spec,
+                                                             command):
+        o = cubes.sample_pped(spec, h.NilPoint(0.21, 0.34, 0.55), 9, -4, 17)
+        seq = tmp_path / "seq.csv"
+        seq.write_text("n,re,im\n" + "".join(f"{n},1.0,0.0\n" for n in range(-20, 21)))
+        points = tmp_path / "points.json"
+        count = {"pgram-test": 4, "pped-test": 8, "pped-complete": 7}.get(command, 0)
+        write_points(points, o.vertices[:count])
+        out = tmp_path / "out.json"
+        argv = {
+            "generate": ["--observable", "torus-character", "--n", "10"],
+            "regtest": ["--input", str(seq), "--order", "1", "--eps", "0.3", "--delta", "0.3",
+                        "--M", "1", "--shift-max", "2"],
+        }.get(command, ["--x", "0.3,0.4,0.2", "--y", "0.3,0.4,0.7"] if count == 0
+              else ["--input", str(points)])
+        assert run([command, *argv, "--workers", "0", "--out", str(out)]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_var_sets_default_workers(self, tmp_path, monkeypatch, oct_fixture):
         monkeypatch.setenv("NILSCOPE_WORKERS", "3")

@@ -162,7 +162,7 @@ class TestEuclidPerms:
         o = cb.sample_pped(spec, x, 6, -9, 13)
         # sigma swapping the first two axes is the third permutation block
         swapped = cb.euclid_perm_oct(o, 2 * 8)
-        r = cb.pped_residual(spec, swapped, horizon=20)
+        r = cb.pped_search(spec, swapped, horizon=20).residual
         assert r < 1e-9
 
     def test_all_cube_perms_preserve_face_membership(self, spec, rng):
@@ -193,7 +193,7 @@ class TestPpedResidual:
     def test_duplicated_quad_passes(self, spec, rng):
         q = cb.sample_pgram(spec, random_point(rng), 9, -14)
         o = cb.Oct(*q.vertices, *q.vertices)
-        assert cb.pped_residual(spec, o, horizon=15) < 1e-6
+        assert cb.pped_search(spec, o, horizon=15).residual < 1e-6
 
     def test_central_perturbation_floor(self, spec):
         # Pinned by the first oracle run at horizon 50 with the default
@@ -210,7 +210,7 @@ class TestPpedResidual:
         for _ in range(20):
             mnp = tuple(int(v) for v in rng.integers(-30, 31, 3))
             o = cb.sample_pped(spec, random_point(rng), *mnp)
-            if cb.pped_residual(spec, o, horizon=30) < 1e-6:
+            if cb.pped_search(spec, o, horizon=30).residual < 1e-6:
                 for axis in (1, 2, 3):
                     for side in (0, 1):
                         assert cb.pgram_residual(cb.face(o, axis, side)) < 1e-3
@@ -232,9 +232,9 @@ class TestPpedResidual:
             u = cb.sample_pgram(spec, x, m, n)
             v = cb.Quad(*(system.advance(pt, p) for pt in u.vertices))
             w = cb.Quad(*(system.advance(pt, q) for pt in v.vertices))
-            r_uv = cb.pped_residual(spec, cb.Oct(*u.vertices, *v.vertices), horizon=H)
-            r_vw = cb.pped_residual(spec, cb.Oct(*v.vertices, *w.vertices), horizon=H)
-            r_uw = cb.pped_residual(spec, cb.Oct(*u.vertices, *w.vertices), horizon=2 * H)
+            r_uv = cb.pped_search(spec, cb.Oct(*u.vertices, *v.vertices), horizon=H).residual
+            r_vw = cb.pped_search(spec, cb.Oct(*v.vertices, *w.vertices), horizon=H).residual
+            r_uw = cb.pped_search(spec, cb.Oct(*u.vertices, *w.vertices), horizon=2 * H).residual
             # 10x contract from sampled inputs, with a tiny absolute floor
             # guarding the all-machine-epsilon regime.
             assert r_uw < max(10 * max(r_uv, r_vw), 5e-13)
@@ -257,7 +257,7 @@ class TestSearchPaths:
     @pytest.fixture(params=[7, 6], ids=["pped_search", "pped_complete"])
     def tables(self, request, spec, octuple):
         targets = {v: octuple.vertices[v] for v in range(1, request.param + 1)}
-        return cb._build_tables(sy.system_for(spec), octuple.v0, targets, self.H)
+        return cb._Tables(sy.system_for(spec), octuple.v0, targets, self.H)
 
     def lookups(self, tables):
         """Every (m, n, p) in lexicographic order with its table lookups."""
@@ -508,7 +508,7 @@ class TestFloorTablesOracle:
                 for name, o in self.octuples(spec, rng, H).items():
                     targets = {v: o[v] for v in range(1, 8)}
                     exact = self.exact_tables(system, o[0], targets, H)
-                    built = cb._build_tables(system, o[0], targets, H)
+                    built = cb._Tables(system, o[0], targets, H)
                     assert all(np.array_equal(built[v][1], exact[v][1]) for v in targets)
                     for resid_tol in (1e-3, 0.05, 1.0):
                         w = cb.pped_search(spec, cb.Oct(*o), H, resid_tol)

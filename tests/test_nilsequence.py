@@ -131,6 +131,15 @@ class TestGenerate:
         with pytest.raises(ValueError):
             ns.generate(rot, ns.ObservableSpec(kind="vertical_theta", m_freq=1), 10)
 
+    def test_one_torus_character_refuses_k2(self):
+        circle = sy.SystemSpec(kind="torus_rotation", dims=1)
+        with pytest.raises(ValueError, match="k2"):
+            ns.generate(circle, ns.ObservableSpec(kind="torus_character", k1=1, k2=1), 10)
+        with pytest.raises(ValueError, match="k2"):
+            ns.eval_observable(ns.ObservableSpec(kind="torus_character", k2=1), sy.TorusPoint((0.3,)))
+        u = ns.generate(circle, ns.ObservableSpec(kind="torus_character", k1=1, k2=0), 10)
+        assert np.allclose(u.values, np.exp(2j * np.pi * u.indices * circle.alpha))
+
 
 class TestQuadraticPhase:
     def test_alpha_zero_constant(self):

@@ -502,6 +502,12 @@ class TestBudgetValidation:
         with pytest.raises(ValueError):
             px.SearchBudget(time_cap_ms=0)
 
+    @pytest.mark.parametrize("radius", [np.inf, 1e300, 1.0 + 1e-9, np.nan])
+    def test_rejects_radius_beyond_the_space(self, radius):
+        with pytest.raises(ValueError, match="perturb_radius"):
+            px.SearchBudget(perturb_radius=radius)
+        assert px.SearchBudget(perturb_radius=1.0).perturb_radius == 1.0
+
     def test_offsets_prefix_nested(self, spec):
         system = sy.system_for(spec)
         o8 = px._offsets(system, px.SearchBudget(n_max=10, perturb_samples=8), seed=0)
