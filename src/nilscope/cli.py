@@ -22,10 +22,12 @@ deadline: a search that it cuts short reports ``exhausted: false``, and
 its record depends on how far the scan got in time.
 
 A config file (``--config``, ``key = value`` lines, ``#`` comments)
-supplies defaults; explicit flags win.  Every command runs
-single-threaded: ``--workers`` (default $NILSCOPE_WORKERS, else 1) is
-checked by every subcommand, before anything else is read past the
-config (below 1 exits 2), and otherwise ignored.
+supplies defaults; explicit flags win.  ``main`` reads it once, into the
+one ``_Resolver`` that every command is handed.  Every command runs
+single-threaded: ``--workers`` (default 1) is checked by every
+subcommand, before anything else is read past the config (below 1 exits
+2), and otherwise ignored.  Every point, from a point file, a pair file
+or a flag, goes through ``_point``, which accepts only numbers.
 """
 
 from __future__ import annotations
@@ -182,8 +184,7 @@ class _Resolver:
         self.args = args
         self.config = _load_config(args.config)
         # Every command checks the worker count, and none uses it (see module docs).
-        env = os.environ.get("NILSCOPE_WORKERS")
-        if self.get("workers", int(env) if env and env.isdigit() else 1, int) < 1:
+        if self.get("workers", 1, int) < 1:
             raise UsageError("workers: must be >= 1")
 
     def get(self, name: str, default, cast):
@@ -205,50 +206,57 @@ class _Resolver:
         return value
 
 
-def _parse_bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    if str(raw).lower() in ("1", "true", "yes", "on"):
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
         return True
-    if str(raw).lower() in ("0", "false", "no", "off"):
+    if raw.lower() in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_point(raw: str):
+def _point(coords, field: str):
+    """The point of a list of numbers: 3 make a NilPoint, 1 or 2 a TorusPoint.
+
+    Only JSON numbers count (``true``/``false`` do not); the point's own
+    constructor checks that each coordinate lies in [0, 1).
+    """
+    if not (isinstance(coords, list) and all(type(c) in (int, float) for c in coords)):
+        raise UsageError(f"{field}: point {coords!r}: want a list of reals")
+    if not 1 <= len(coords) <= 3:
+        raise UsageError(f"{field}: point {coords}: want 1, 2 or 3 coordinates")
     try:
-        coords = tuple(float(part) for part in raw.split(","))
+        coords = tuple(map(float, coords))
+        return NilPoint(*coords) if len(coords) == 3 else TorusPoint(coords)
+    except (ValueError, OverflowError) as exc:  # a JSON integer may not fit a double
+        raise UsageError(f"{field}: {exc}") from None
+
+
+def _point_flag(res: _Resolver, name: str):
+    """The point of a flag or config value of comma-separated reals, or None if not given."""
+    raw = res.get(name, None, str)
+    if not raw:
+        return None
+    try:
+        coords = [float(part) for part in raw.split(",")]
     except ValueError:
-        raise UsageError(f"point: cannot parse {raw!r} (want comma-separated reals)") from None
-    return _point_from_coords(coords)
+        coords = raw  # not reals: _point refuses it, quoting the text
+    return _point(coords, name)
 
 
-def _point_from_coords(coords):
+def _read_json(path: str):
     try:
-        coords = tuple(float(c) for c in coords)
-    except (TypeError, ValueError):
-        raise UsageError(f"point {coords!r}: want a list of reals") from None
-    if any(not (0.0 <= c < 1.0) for c in coords):
-        raise UsageError(f"point {coords}: coordinates must lie in [0, 1)")
-    if len(coords) == 3:
-        return NilPoint(*coords)
-    if len(coords) in (1, 2):
-        return TorusPoint(coords)
-    raise UsageError(f"point {coords}: want 1, 2 or 3 coordinates")
+        return json.loads(_read_text(path, "input"))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"input: {path} is not valid JSON: {exc}") from None
 
 
 def _load_points_file(path: str, expected: int):
-    text = _read_text(path, "input")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"input: {path} is not valid JSON: {exc}") from None
+    payload = _read_json(path)
     rows = payload.get("points") if isinstance(payload, dict) else payload
     if not isinstance(rows, list) or len(rows) != expected:
         raise UsageError(f"input: {path}: expected {expected} points")
-    points = [_point_from_coords(row) for row in rows]
-    kinds = {type(p) for p in points}
-    if len(kinds) != 1:
+    points = [_point(row, "input") for row in rows]
+    if len({len(p.as_tuple()) for p in points}) != 1:
         raise UsageError(f"input: {path}: mixed point dimensions")
     return points
 
@@ -272,16 +280,24 @@ def _load_sequence(path: str) -> nilsequence.SequenceSample:
         raise UsageError(f"input: {path}: {exc}") from None
 
 
-def _system_from(res: _Resolver) -> SystemSpec:
-    kind = res.get("system", "heisenberg", str).replace("-", "_")
-    alpha = res.get("alpha", systems.DEFAULT_ALPHA, float)
-    beta = res.get("beta", systems.DEFAULT_BETA, float)
-    gamma0 = res.get("gamma0", 0.0, float)
-    dims = res.get("dims", 2, int)
+def _flag_fields(cls):
+    """The fields of a spec dataclass that have flags: those with a default, but ``kind``."""
+    fields = dataclasses.fields(cls)
+    return [f for f in fields if f.name != "kind" and f.default is not dataclasses.MISSING]
+
+
+def _spec(cls, res: _Resolver, field: str, **given):
+    """cls from ``given`` and each flag field's flag, config value or default; ValueError names field."""
+    values = {f.name: res.get(f.name, f.default, type(f.default)) for f in _flag_fields(cls)}
     try:
-        return SystemSpec(kind=kind, alpha=alpha, beta=beta, gamma0=gamma0, dims=dims)
+        return cls(**values, **given)
     except ValueError as exc:
-        raise UsageError(f"system: {exc}") from None
+        raise UsageError(f"{field}: {exc}") from None
+
+
+def _system_from(res: _Resolver) -> SystemSpec:
+    kind = res.get("system", SystemSpec.kind, str).replace("-", "_")
+    return _spec(SystemSpec, res, "system", kind=kind)
 
 
 def _print(payload: dict, res: _Resolver, summary: str) -> None:
@@ -304,40 +320,29 @@ def _emit(payload: dict, res: _Resolver, summary: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
+def cmd_generate(res: _Resolver) -> int:
     observable = res.require("observable", str).replace("-", "_")
     N = res.get("n", 1000, int)
     if N < 1:
         raise UsageError("n: must be >= 1")
     out = res.require("out", str)
-    fmt = res.get("format", "json" if out.endswith(".json") else "csv", str)
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format: unknown format {fmt!r}")
+    spec = _system_from(res)
 
     if observable == "quadratic_phase":
-        alpha = res.get("alpha", systems.DEFAULT_ALPHA, float)
-        sample = nilsequence.quadratic_phase(alpha, N)
+        sample = nilsequence.quadratic_phase(spec.alpha, N)
     else:
-        spec = _system_from(res)
-        base_raw = res.get("base", None, str)
-        base = _parse_point(base_raw) if base_raw else NilPoint(0.0, 0.0, 0.0)
-        if not isinstance(base, NilPoint):
+        base = _point_flag(res, "base")
+        if base is not None and not isinstance(base, NilPoint):
             raise UsageError("base: need 3 coordinates")
+        given = {} if base is None else {"base": base}
+        obs = _spec(nilsequence.ObservableSpec, res, "observable", kind=observable, **given)
         try:
-            obs = nilsequence.ObservableSpec(
-                kind=observable,
-                base=base,
-                m_freq=res.get("m_freq", 1, int),
-                j_trunc=res.get("j_trunc", 6, int),
-                k1=res.get("k1", 1, int),
-                k2=res.get("k2", 0, int),
-            )
             sample = nilsequence.generate(spec, obs, N)
         except ValueError as exc:
             raise UsageError(f"observable: {exc}") from None
 
-    text = sample.to_json() if fmt == "json" else sample.to_csv()
+    # regtest picks its parser by the same suffix rule.
+    text = sample.to_json() if out.endswith(".json") else sample.to_csv()
     _atomic_write(out, [text])
     bound = float(np.abs(sample.values).max())
     summary = (
@@ -370,21 +375,17 @@ def _violations_csv(columns: regularity.ViolationColumns):
     return _row_chunks(texts, heads, header, "\n")
 
 
-def cmd_regtest(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
+def cmd_regtest(res: _Resolver) -> int:
     u = _load_sequence(res.require("input", str))
     order = res.require("order", int)
     eps = res.require("eps", float)
     shift_max = res.get("shift_max", 10, int)
-    k_min = res.get("k_min", None, int)
-    k_max = res.get("k_max", None, int)
-    k_range = None
-    if (k_min is None) != (k_max is None):
+    k_range = (res.get("k_min", None, int), res.get("k_max", None, int))
+    if k_range.count(None) == 1:
         raise UsageError("k_range: give both k_min and k_max or neither")
-    if k_min is not None:
-        k_range = (k_min, k_max)
+    k_range = None if None in k_range else k_range
 
-    calibrate_mode = bool(args.calibrate) or _parse_bool(res.config.get("calibrate", False))
+    calibrate_mode = res.get("calibrate", False, _parse_bool)
     payload: dict = {
         "command": "regtest",
         "order": order,
@@ -399,14 +400,8 @@ def cmd_regtest(args: argparse.Namespace) -> int:
             cal = regularity.calibrate(
                 u, eps, M_grid, delta_grid, shift_max, order=order, k_range=k_range
             )
-            report = cal.report
-            payload.update(
-                {
-                    "calibrate": {"M_grid": M_grid, "delta_grid": delta_grid, "entries": cal.entries},
-                    "M": cal.M,
-                    "delta": cal.delta,
-                }
-            )
+            report, M, delta = cal.report, cal.M, cal.delta
+            payload["calibrate"] = {"M_grid": M_grid, "delta_grid": delta_grid, "entries": cal.entries}
         else:
             delta = res.require("delta", float)
             M = res.require("m", int)
@@ -414,10 +409,10 @@ def cmd_regtest(args: argparse.Namespace) -> int:
                 order=order, eps=eps, delta=delta, M=M, shift_max=shift_max, k_range=k_range
             )
             report = regularity.run_test(u, params)
-            payload.update({"M": M, "delta": delta})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+    payload.update({"M": M, "delta": delta})
     nviol = report.violation_count
     payload["report"] = report.to_dict()
     payload["verdict"] = "pass" if nviol == 0 else "violations"
@@ -430,7 +425,7 @@ def cmd_regtest(args: argparse.Namespace) -> int:
         f"order-{order} scan: {nviol} violation(s), hypothesis_count="
         f"{report.hypothesis_count}, scanned={report.scanned} tuples, "
         f"k in [{report.k_lo}, {report.k_hi}]"
-        + (f", calibrated (M={payload['M']}, delta={payload['delta']})" if calibrate_mode else "")
+        + (f", calibrated (M={M}, delta={delta})" if calibrate_mode else "")
     )
     _emit(payload, res, summary)
     return EXIT_OK if nviol == 0 else EXIT_FINDING
@@ -441,12 +436,10 @@ def cmd_regtest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_pgram_test(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
+def cmd_pgram_test(res: _Resolver) -> int:
     points = _load_points_file(res.require("input", str), 4)
     tol = res.get("tol", cubes.DEFAULT_PGRAM_TOL, float)
-    quad = cubes.Quad(*points)
-    residual = cubes.pgram_residual(quad)
+    residual = cubes.pgram_residual(cubes.Quad(*points))
     member = bool(residual < tol)
     payload = {
         "command": "pgram-test",
@@ -460,20 +453,19 @@ def cmd_pgram_test(args: argparse.Namespace) -> int:
     return EXIT_OK if member else EXIT_FINDING
 
 
-def _cube_job(args: argparse.Namespace, count: int):
-    """(resolver, spec, points, horizon, resid_tol) of a parallelepiped command, checked."""
-    res = _Resolver(args)
+def _cube_job(res: _Resolver, count: int):
+    """(spec, points, horizon, resid_tol) of a parallelepiped command, checked."""
     points = _load_points_file(res.require("input", str), count)
     spec = _system_from(res)
     _check_points(spec, points, "input")
     horizon = res.get("horizon", cubes.DEFAULT_HORIZON, int)
     if horizon < 1:
         raise UsageError("horizon: must be >= 1")
-    return res, spec, points, horizon, res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
+    return spec, points, horizon, res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
 
 
-def cmd_pped_test(args: argparse.Namespace) -> int:
-    res, spec, points, horizon, resid_tol = _cube_job(args, 8)
+def cmd_pped_test(res: _Resolver) -> int:
+    spec, points, horizon, resid_tol = _cube_job(res, 8)
     witness = cubes.pped_search(spec, cubes.Oct(*points), horizon, resid_tol)
     below = witness.residual < resid_tol
     payload = {
@@ -494,8 +486,8 @@ def cmd_pped_test(args: argparse.Namespace) -> int:
     return EXIT_OK if below else EXIT_FINDING
 
 
-def cmd_pped_complete(args: argparse.Namespace) -> int:
-    res, spec, points, horizon, resid_tol = _cube_job(args, 7)
+def cmd_pped_complete(res: _Resolver) -> int:
+    spec, points, horizon, resid_tol = _cube_job(res, 7)
     face_tol = res.get("face_tol", cubes.DEFAULT_FACE_TOL, float)
     try:
         result = cubes.pped_complete(spec, points, horizon, face_tol, resid_tol)
@@ -539,40 +531,28 @@ def cmd_pped_complete(args: argparse.Namespace) -> int:
 
 def _load_pair(res: _Resolver, spec: SystemSpec):
     input_path = res.get("input", None, str)
-    x_raw = res.get("x", None, str)
-    y_raw = res.get("y", None, str)
     if input_path:
-        text = _read_text(input_path, "input")
-        try:
-            payload = json.loads(text)
-            x = _point_from_coords(payload["x"])
-            y = _point_from_coords(payload["y"])
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise UsageError(f"input: {input_path}: expected JSON with x, y: {exc}") from None
-    elif x_raw and y_raw:
-        x = _parse_point(x_raw)
-        y = _parse_point(y_raw)
+        payload = _read_json(input_path)
+        if not (isinstance(payload, dict) and "x" in payload and "y" in payload):
+            raise UsageError(f"input: {input_path}: expected JSON with x, y")
+        x, y = _point(payload["x"], "x"), _point(payload["y"], "y")
     else:
-        raise UsageError("x/y: give --x and --y, or --input pair.json")
+        x, y = _point_flag(res, "x"), _point_flag(res, "y")
+        if x is None or y is None:
+            raise UsageError("x/y: give --x and --y, or --input pair.json")
     _check_points(spec, (x, y), "x/y")
     return x, y
 
 
-def _cmd_prox(args: argparse.Namespace, which: str) -> int:
-    res = _Resolver(args)
+def _cmd_prox(res: _Resolver, which: str) -> int:
     spec = _system_from(res)
     x, y = _load_pair(res, spec)
-    fields = dataclasses.fields(proximality.SearchBudget)
-    try:
-        budget = proximality.SearchBudget(
-            **{f.name: res.get(f.name, f.default, type(f.default)) for f in fields}
-        )
-    except ValueError as exc:
-        raise UsageError(f"budget: {exc}") from None
+    budget = _spec(proximality.SearchBudget, res, "budget")
     seed = res.get("seed", 0, int)
-    if not 0 <= seed < proximality.SEED_LIMIT:
-        raise UsageError(f"seed: must be in [0, 2**43), got {seed}")
-    record = getattr(proximality, f"{which}_search")(spec, x, y, budget, seed)
+    try:  # the search checks the seed before any work
+        record = getattr(proximality, f"{which}_search")(spec, x, y, budget, seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     payload = {
         "command": f"{which}-search",
         "relation": record.relation,
@@ -606,12 +586,15 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--workers", type=int, help="ignored, must be >= 1: every command is single-threaded")
 
 
+def _add_fields(sp: argparse.ArgumentParser, cls) -> None:
+    """One flag per flag field of a spec dataclass, typed by its default."""
+    for f in _flag_fields(cls):
+        sp.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
+
+
 def _add_system(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--system", choices=["heisenberg", "torus-rotation"])
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--gamma0", type=float)
-    sp.add_argument("--dims", type=int)
+    sp.add_argument("--system", choices=[kind.replace("_", "-") for kind in systems._KINDS])
+    _add_fields(sp, SystemSpec)
 
 
 @functools.cache
@@ -628,11 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["torus-character", "vertical-theta", "distance-to-base",
                             "quadratic-phase"])
     g.add_argument("--n", type=int, help="window half-length N (indices -N..N)")
-    g.add_argument("--format", choices=["csv", "json"])
-    g.add_argument("--k1", type=int)
-    g.add_argument("--k2", type=int)
-    g.add_argument("--m-freq", dest="m_freq", type=int)
-    g.add_argument("--j-trunc", dest="j_trunc", type=int)
+    _add_fields(g, nilsequence.ObservableSpec)
     g.add_argument("--base", help="x,y,z of the distance observable's base point")
     _add_system(g)
     _add_common(g)
@@ -647,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--shift-max", dest="shift_max", type=int)
     r.add_argument("--k-min", dest="k_min", type=int)
     r.add_argument("--k-max", dest="k_max", type=int)
-    r.add_argument("--calibrate", action="store_true",
+    r.add_argument("--calibrate", action="store_true", default=None,
                    help="search the (M, delta) grid instead of a single pair")
     r.add_argument("--M-grid", dest="m_grid")
     r.add_argument("--delta-grid", dest="delta_grid")
@@ -683,8 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--x", help="x point as x,y,z")
         s.add_argument("--y", help="y point as x,y,z")
         s.add_argument("--input", help="JSON file with fields x, y")
-        for f in dataclasses.fields(proximality.SearchBudget):
-            s.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
+        _add_fields(s, proximality.SearchBudget)
         s.add_argument("--seed", type=int)
         _add_system(s)
         _add_common(s)
@@ -697,13 +675,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if (
-            getattr(args, "out_required", False)
-            and args.out is None
-            and "out" not in _load_config(args.config)
-        ):
+        res = _Resolver(args)
+        if getattr(args, "out_required", False) and res.get("out", None, str) is None:
             parser.error("--out is required")  # exits 2
-        return args.func(args)
+        return args.func(res)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

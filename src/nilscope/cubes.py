@@ -256,10 +256,6 @@ def face(o: Oct, axis: int, side: int) -> Quad:
     return Quad(*(verts[i] for i in _FACE_INDEX[(axis, side)]))
 
 
-def _axis_perm_list(k: int) -> list[tuple[int, ...]]:
-    return sorted(itertools.permutations(range(k)))
-
-
 def _label_map(k: int, sigma: tuple[int, ...], refl: int) -> tuple[int, ...]:
     # Output bit j reads input bit sigma[j], then the reflection mask is
     # XORed per output axis.
@@ -275,30 +271,32 @@ def _label_map(k: int, sigma: tuple[int, ...], refl: int) -> tuple[int, ...]:
 
 
 def _perm_tables(k: int) -> list[tuple[int, ...]]:
-    tables = []
-    for sigma in _axis_perm_list(k):
-        for refl in range(1 << k):
-            tables.append(_label_map(k, sigma, refl))
-    return tables
+    # permutations yields the axis permutations in lexicographic order.
+    return [_label_map(k, sigma, refl)
+            for sigma in itertools.permutations(range(k)) for refl in range(1 << k)]
 
 
-_SQUARE_MAPS = _perm_tables(2)
-_CUBE_MAPS = _perm_tables(3)
+#: (name, shape, vertex label maps by perm_id) of the symmetries of the k-cube, k = 2 and 3.
+_SYMMETRIES = {2: ("square", Quad, _perm_tables(2)), 3: ("cube", Oct, _perm_tables(3))}
+
+
+def _euclid_perm(k: int, cube, perm_id: int):
+    name, shape, maps = _SYMMETRIES[k]
+    if not 0 <= perm_id < len(maps):
+        raise ValueError(f"{name} perm_id must be in [0, {len(maps)}), got {perm_id}")
+    label_map = maps[perm_id]
+    out = [None] * len(label_map)
+    for v, point in enumerate(cube.vertices):
+        out[label_map[v]] = point
+    return shape(*out)
 
 
 def n_square_perms() -> int:
-    return len(_SQUARE_MAPS)
+    return len(_SYMMETRIES[2][2])
 
 
 def n_cube_perms() -> int:
-    return len(_CUBE_MAPS)
-
-
-def _apply_map(vertices: tuple, label_map: tuple[int, ...]):
-    out = [None] * len(vertices)
-    for v, point in enumerate(vertices):
-        out[label_map[v]] = point
-    return out
+    return len(_SYMMETRIES[3][2])
 
 
 def euclid_perm_quad(q: Quad, perm_id: int) -> Quad:
@@ -307,9 +305,7 @@ def euclid_perm_quad(q: Quad, perm_id: int) -> Quad:
     perm_id = sigma_index * 4 + reflection_mask, with axis permutations
     in lexicographic order; id 0 is the identity.
     """
-    if not 0 <= perm_id < len(_SQUARE_MAPS):
-        raise ValueError(f"square perm_id must be in [0, {len(_SQUARE_MAPS)}), got {perm_id}")
-    return Quad(*_apply_map(q.vertices, _SQUARE_MAPS[perm_id]))
+    return _euclid_perm(2, q, perm_id)
 
 
 def euclid_perm_oct(o: Oct, perm_id: int) -> Oct:
@@ -318,9 +314,7 @@ def euclid_perm_oct(o: Oct, perm_id: int) -> Oct:
     perm_id = sigma_index * 8 + reflection_mask, with axis permutations
     in lexicographic order; id 0 is the identity.
     """
-    if not 0 <= perm_id < len(_CUBE_MAPS):
-        raise ValueError(f"cube perm_id must be in [0, {len(_CUBE_MAPS)}), got {perm_id}")
-    return Oct(*_apply_map(o.vertices, _CUBE_MAPS[perm_id]))
+    return _euclid_perm(3, o, perm_id)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ class SystemSpec:
     dims: int = 2
 
     def __post_init__(self):
-        if self.kind not in ("heisenberg", "torus_rotation"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
         if self.dims not in (1, 2):
             raise ValueError("dims must be 1 or 2")

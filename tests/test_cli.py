@@ -62,6 +62,33 @@ class TestGenerate:
         assert "observable: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_file_is_read_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"observable = torus-character\nn = 10\nout = {out}\n")
+        reads = []
+        read = cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda path, field: reads.append(path) or read(path, field))
+        assert run(["generate", "--observable", "torus-character", "--config", str(cfg)]) == 0
+        assert reads == [str(cfg)]
+        assert out.exists()
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_out_suffix_round_trips_through_regtest(self, tmp_path, suffix):
+        seq = tmp_path / f"seq{suffix}"
+        assert run(["generate", "--observable", "vertical-theta", "--n", "50",
+                    "--out", str(seq)]) == 0
+        assert seq.read_text().startswith("{" if suffix == ".json" else "n,re,im\n")
+        assert run(["regtest", "--input", str(seq), "--order", "2", "--eps", "0.3",
+                    "--delta", "0.05", "--M", "3", "--shift-max", "4"]) in (0, 1)
+
+    def test_format_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--observable", "torus-character", "--format", "json",
+                 "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
     def test_bad_observable_params(self, tmp_path):
         code = run(
             ["generate", "--observable", "vertical-theta", "--m-freq", "0",
@@ -194,6 +221,16 @@ class TestRegtest:
         assert run(["regtest", "--config", str(cfg)]) == 0
         # flags win over config
         assert run(["regtest", "--config", str(cfg), "--order", "1"]) == 0
+
+    def test_calibrate_from_config_file(self, tmp_path, capsys):
+        seq = self.make_sequence(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {seq}\norder = 2\neps = 0.3\nshift_max = 4\ncalibrate = yes\n")
+        assert run(["regtest", "--config", str(cfg)]) == 0
+        assert "calibrated" in capsys.readouterr().out
+        cfg.write_text(f"input = {seq}\norder = 2\neps = 0.3\ncalibrate = maybe\n")
+        assert run(["regtest", "--config", str(cfg)]) == 2
+        assert "calibrate: cannot parse config value 'maybe'" in capsys.readouterr().err
 
 
 def bump_sequence(path):
@@ -431,8 +468,20 @@ class TestCubeCommands:
         write_points(path, q.vertices)
         assert run(["pped-test", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("rows", [[[0.1], [0.2, 0.3]] * 2, [[0.1, 0.2, 0.3], [0.2, 0.3]] * 2],
+                             ids=["torus", "nil-torus"])
+    def test_mixed_point_dimensions_are_usage_error(self, tmp_path, capsys, rows):
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"points": rows}))
+        assert run(["pgram-test", "--input", str(path)]) == 2
+        assert "mixed point dimensions" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, count", [("pgram-test", 4), ("pped-test", 8), ("pped-complete", 7)])
-    @pytest.mark.parametrize("row", [1, ["a", 0, 0]], ids=["scalar", "text"])
+    @pytest.mark.parametrize(
+        "row",
+        [1, ["a", 0, 0], ["0.1", "0.2", "0.3"], [0.1, False, 0.3], {"0.1": 1, "0.2": 2, "0.3": 3}],
+        ids=["scalar", "text", "strings", "false", "object"],
+    )
     def test_malformed_point_rows_are_usage_error(self, tmp_path, capsys, command, count, row):
         path = tmp_path / "points.json"
         path.write_text(json.dumps({"points": [row] * count}))
@@ -459,9 +508,19 @@ class TestProxCommands:
 
     def test_malformed_pair_file_is_usage_error(self, tmp_path, capsys):
         pair = tmp_path / "pair.json"
-        pair.write_text(json.dumps({"x": ["a", 0.1, 0.2], "y": [0.3, 0.4, 0.7]}))
-        assert run(["rp-search", "--input", str(pair)]) == 2
-        assert "want a list of reals" in capsys.readouterr().err
+        for payload in (
+            {"x": ["a", 0.1, 0.2], "y": [0.3, 0.4, 0.7]},
+            {"x": ["0.3", "0.4", "0.2"], "y": [0.3, 0.4, 0.7]},
+            {"x": [0.3, 0.4, 0.2], "y": {"0.3": 1, "0.4": 2, "0.7": 3}},
+        ):
+            pair.write_text(json.dumps(payload))
+            assert run(["rp-search", "--input", str(pair)]) == 2
+            assert "want a list of reals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["0.3,zap,0.2", "0.3,1.5,0.2", "nan,0.4,0.2"])
+    def test_bad_point_flag_is_usage_error(self, x, capsys):
+        assert run(["rp-search", "--x", x, "--y", "0.3,0.4,0.7"]) == 2
+        assert capsys.readouterr().err.startswith("error: x: ")
 
     @pytest.mark.parametrize("seed", [-1, 2**43])
     def test_seed_out_of_range_is_usage_error(self, seed, capsys):
@@ -596,7 +655,7 @@ class TestDeterminism:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_env_var_sets_default_workers(self, tmp_path, monkeypatch, oct_fixture):
-        monkeypatch.setenv("NILSCOPE_WORKERS", "3")
+    def test_workers_env_var_is_ignored(self, tmp_path, monkeypatch, oct_fixture):
+        monkeypatch.setenv("NILSCOPE_WORKERS", "0")
         path, _ = oct_fixture
         assert run(["pped-test", "--input", str(path), "--horizon", "20"]) == 0
