@@ -27,11 +27,15 @@ from nilscope import cli  # noqa: E402
 import workloads  # noqa: E402
 
 
-def parse_args(doc: str, argv, passes: int | None = None, seeds: bool = False):
+def parse_args(doc: str, argv, passes: int | None = None, seeds: bool = False,
+               other: bool = False):
     """WORKLOAD SEED (with ``seeds``, one or more SEEDs, as the list ``seed``), and
-    ``--passes N`` (at least 1) when ``passes`` gives its default; the first
+    ``--passes N`` (at least 1) when ``passes`` gives its default; with ``other``,
+    a first argument OTHER_CHECKOUT, as the ``Path`` ``other``.  The first
     paragraph of ``doc`` describes the script."""
     parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    if other:
+        parser.add_argument("other", type=Path, metavar="OTHER_CHECKOUT")
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("seed", type=int, nargs="+" if seeds else None)
     if passes is not None:

@@ -16,11 +16,14 @@ vacuous passes are visible.
 Engine: one table per threshold t (delta, eps) holds |u_{i+q} - u_i| >= t
 for q in [0, (d+1)S], one difference row per q; a shift s < 0 reads row
 |s| moved back by |s|.  The hypothesis mask of a shift s over k is a
-window test on row |s| of the delta table (a prefix count, equal at both
-window ends), packed into bytes; masks combine per shift tuple with
-bitwise ANDs, so the per-tuple work is a handful of vectorized byte
-operations.  ``run_test`` is the one entry to the scan; ``calibrate``
-builds the tables once for its whole grid and hands them to it.
+window test on row |s| of the delta table (an OR over the 2M+1 columns,
+whose span doubles each pass), packed into bytes; the rows of every
+shift in [-D, D] are two views of one table, a slice for s >= 0 and a
+strided window view for s < 0, packed in one call.  Masks combine per
+shift tuple with bitwise ANDs, so the per-tuple work is a handful of
+vectorized byte operations.  ``run_test`` is the one entry to the scan;
+``calibrate`` builds the tables once for its whole grid and hands them
+to it.
 
 An order-d shift tuple sits on the cube {0,1}^(d+1) as a parallelepiped
 does (``cubes.vertex_shifts``): hypotheses at every vertex but 0 and the
@@ -28,7 +31,8 @@ all-ones one, the conclusion at the all-ones one.  One recursive scan
 serves every order; it runs in one thread, as threads made every
 measured scan slower.  Violations stay columns from the scan to the
 report (``ViolationColumns``: base index, shifts, gap), extracted at
-once for all tuples that share their first d shifts; the ``Violation``
+once for all tuples that share their first d shifts, by unpacking only
+the nonzero bytes of their violation rows; the ``Violation``
 objects of ``RegularityReport.violations`` are built lazily, on first
 use, and the CLI writes its JSON and CSV reports from the columns.
 ``naive_test`` is the independent oracle: the same semantics as
@@ -225,17 +229,24 @@ def _threshold_tables(values: np.ndarray, thresholds, Q: int) -> dict:
 
 def _window_free(table: np.ndarray, M: int) -> np.ndarray:
     """free[q, j] is True when row q of table holds no True in columns [j, j + 2M]:
-    sample values are finite, so that is max |u_{i+q} - u_i| < t over the window."""
-    c = np.zeros((len(table), table.shape[1] + 1), dtype=np.int32)
-    np.cumsum(table, axis=1, out=c[:, 1:])
-    return c[:, 2 * M + 1 :] == c[:, : -(2 * M + 1)]
+    sample values are finite, so that is max |u_{i+q} - u_i| < t over the window.
+    Each pass doubles the span of the OR; the last ORs two overlapping spans."""
+    w, span, hit = 2 * M + 1, 1, table
+    while 2 * span <= w:
+        hit = hit[:, :-span] | hit[:, span:]
+        span *= 2
+    if span < w:
+        hit = hit[:, : span - w] | hit[:, w - span :]
+    return ~hit
 
 
 def _shift_rows(table: np.ndarray, start: int, nbits: int, D: int) -> np.ndarray:
     """Packed rows for the shifts s in [-D, D]: row |s| of table, nbits wide,
-    from column start, moved back by |s| for s < 0."""
-    rows = [table[abs(s), start + min(s, 0) : start + min(s, 0) + nbits] for s in range(-D, D + 1)]
-    return np.packbits(np.stack(rows), axis=1)
+    from column start (at least D), moved back by |s| for s < 0.  Read from
+    start every W - 1 entries, the flat table of width W gives table[j, start - j:]."""
+    back = np.lib.stride_tricks.sliding_window_view(table.ravel()[start:], nbits)
+    back = back[:: table.shape[1] - 1][D:0:-1]
+    return np.packbits(np.concatenate((back, table[: D + 1, start : start + nbits])), axis=1)
 
 
 def shift_mask(u: SequenceSample, s: int, delta: float, M: int) -> np.ndarray:
@@ -296,7 +307,11 @@ def _scan(u: SequenceSample, params: RegularityParams, tables: dict, lo: int, hi
             viol = cand & rows(VQ, sum(ns))
             t_idx = np.flatnonzero(viol.any(axis=1))
             if len(t_idx):
-                r, idx = np.nonzero(np.unpackbits(viol[t_idx], axis=1, count=nbits))
+                # Unpack only the nonzero bytes; the packed padding bits are 0.
+                sub = viol[t_idx]
+                r, byte = np.nonzero(sub != 0)
+                hit, bit = np.nonzero(np.unpackbits(sub[r, byte, None], axis=1).view(bool))
+                r, idx = r[hit], 8 * byte[hit] + bit
                 shifts = np.empty((len(idx), d + 1), dtype=np.int64)
                 shifts[:, :-1] = ns
                 shifts[:, -1] = t_idx[r] - S

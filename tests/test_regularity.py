@@ -259,6 +259,85 @@ class TestEngineOracleEquivalence:
         return fast
 
 
+class TestScanKernels:
+    @staticmethod
+    def prefix_count_window_free(table, M):
+        """The prefix-count form: a window is free when its count is equal at both ends."""
+        c = np.zeros((len(table), table.shape[1] + 1), dtype=np.int32)
+        np.cumsum(table, axis=1, out=c[:, 1:])
+        return c[:, 2 * M + 1 :] == c[:, : -(2 * M + 1)]
+
+    @pytest.mark.parametrize("M", [0, 1, 3, 7, 8, 15, 16, 25])
+    def test_window_free_matches_prefix_count(self, M):
+        # 2M + 1 sits just below and just past powers of two (1, 3, 7, 15, 17, 31, 33, 51).
+        gen = np.random.default_rng(M)
+        for density in (0.0, 0.005, 0.02, 0.2):
+            for width in (2 * M + 1, 2 * M + 2, 130):
+                table = gen.random((6, width)) < density
+                got = rg._window_free(table, M)
+                want = self.prefix_count_window_free(table, M)
+                assert got.shape == want.shape == (6, width - 2 * M)
+                assert got.dtype == bool
+                assert np.array_equal(got, want)
+
+    @staticmethod
+    def stacked_shift_rows(table, start, nbits, D):
+        rows = [table[abs(s), start + min(s, 0) : start + min(s, 0) + nbits] for s in range(-D, D + 1)]
+        return np.packbits(np.stack(rows), axis=1)
+
+    @pytest.mark.parametrize("D", [1, 2, 5])
+    @pytest.mark.parametrize("nbits", [1, 7, 8, 13, 40])
+    def test_shift_rows_match_stacked_rows(self, D, nbits):
+        gen = np.random.default_rng(10 * D + nbits)
+        width = D + nbits + 4
+        table = gen.random((D + 3, width)) < 0.5
+        # start == D is the smallest start a scan uses; the last start ends at the edge.
+        for start in (D, D + 1, width - nbits):
+            want = self.stacked_shift_rows(table, start, nbits, D)
+            assert want.shape == (2 * D + 1, (nbits + 7) // 8)
+            assert np.array_equal(rg._shift_rows(table, start, nbits, D), want)
+
+    def test_shift_rows_of_non_contiguous_tables(self):
+        gen = np.random.default_rng(3)
+        big = gen.random((12, 90)) < 0.5
+        for table in (big[1:8, 5:60], big[:, ::3], np.asfortranarray(big[:7])):
+            assert not table.flags.c_contiguous
+            for start, nbits in ((6, 11), (6, 16), (9, len(table[0]) - 9)):
+                want = self.stacked_shift_rows(table, start, nbits, 6)
+                assert np.array_equal(rg._shift_rows(table, start, nbits, 6), want)
+
+    # A width hi - lo + 1 of 8q + r, r in 1..7, leaves the last packed byte
+    # partial, so violations at the last base indices sit in its padding byte.
+    @given(
+        order=st.sampled_from([1, 2]),
+        q=st.integers(0, 3),
+        r=st.integers(1, 7),
+        S=st.integers(1, 3),
+        M=st.integers(0, 2),
+        eps=st.floats(0.05, 0.9),
+        delta=st.floats(0.2, 1.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_run_test_matches_naive_in_partial_bytes(self, order, q, r, S, M, eps, delta, seed):
+        S = min(S, 2) if order == 2 else S  # keeps the order-2 oracle quick
+        width = 8 * q + r
+        margin = rg.RegularityParams(order, eps, delta, M, S).margin
+        gen = np.random.default_rng(seed)
+        # Few levels, so both hypotheses and failed conclusions are common.
+        levels = np.array([0.0, 0.3, 1.0, 0.3j])
+        values = levels[gen.integers(0, len(levels), 2 * margin + width + 3)]
+        n_min = -margin - 1
+        lo = n_min + margin + int(gen.integers(0, 4))
+        params = rg.RegularityParams(order, eps, delta, M, S, k_range=(lo, lo + width - 1))
+        u = sample(values, n_min=n_min)
+        fast = rg.run_test(u, params)
+        slow = rg.naive_test(u, params)
+        assert fast.k_hi - fast.k_lo + 1 == width
+        assert [v.as_tuple() for v in fast.violations] == [v.as_tuple() for v in slow.violations]
+        assert fast.hypothesis_count == slow.hypothesis_count
+
+
 class TestInvariants:
     def test_monotone_in_eps(self, rng):
         u = random_sample(rng, 60)
