@@ -3,7 +3,9 @@
 Importing this module puts the ``src/`` and ``bench/`` of this checkout
 first on ``sys.path``, so ``cli`` is the ``nilscope.cli`` of this checkout
 and ``workloads`` is ``bench/workloads.py`` (imported, not changed).
-``job_list`` writes a workload's inputs into a temporary directory, which
+``job_list`` writes a workload's inputs into a temporary directory under
+the checkout's ``.bench_work/``, where ``bench/run.py`` works too, so the
+reports go to the same file system as in a benchmark run; the directory
 is the working directory while the jobs run and is deleted afterwards;
 the inputs and reports are named relative to it, so no path of the run
 reaches a report.
@@ -48,9 +50,12 @@ def parse_args(doc: str, argv, passes: int | None = None, seeds: bool = False,
 
 @contextlib.contextmanager
 def job_list(workload: str, seed: int, prefix: str):
-    """The jobs of one workload at one seed, run from a temporary directory."""
+    """The jobs of one workload at one seed, run from a temporary directory
+    under ``.bench_work/``."""
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
+    work = ROOT / ".bench_work"
+    work.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=prefix, dir=work) as tmp:
         os.chdir(tmp)
         try:
             yield workloads.WORKLOADS[workload](seed, Path("."))

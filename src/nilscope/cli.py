@@ -78,49 +78,62 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
-# Pieces per "".join of a written report: large reports go out in chunks
+# Rows per "".join of a written report: large reports go out in chunks
 # of bounded size, never as one string spliced into another.
-_CHUNK = 65536
+_CHUNK = 8192
 
 # json's text for the floats that float.__repr__ writes otherwise.
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _column_text(col: np.ndarray, fmt) -> list[str]:
-    """fmt of every entry of col, called once per distinct bit pattern (so -0.0 is not 0.0)."""
-    _, first, inverse = np.unique(col.view(f"i{col.itemsize}"), return_index=True, return_inverse=True)
-    texts = np.array([fmt(v) for v in col[first].tolist()], dtype=object)
+def _column_text(col: np.ndarray, fmt, head: str = "", tail: str = "") -> list[str]:
+    """head + fmt(v) + tail for every entry v of col, fmt called once per distinct value.
+
+    An integer column whose range is at most four times its length finds
+    its distinct values in a presence table over [min, max]; any other
+    column sorts its bit patterns with np.unique (so -0.0 is not 0.0)."""
+    lo, hi = (int(col.min()), int(col.max())) if col.dtype.kind == "i" else (0, np.inf)
+    if hi - lo < 4 * len(col):
+        off = col - lo
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[off] = True
+        values, inverse = np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[off]
+    else:
+        bits, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+        values = bits.view(col.dtype)
+    texts = np.array([f"{head}{fmt(v)}{tail}" for v in values.tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
-def _row_chunks(columns: list[list[str]], heads: list[str], first: str, end: str):
-    """Rows of pieces heads[c], columns[c][row] for every column c, joined
-    ``_CHUNK`` pieces at a time; ``first`` stands for heads[0] in the first
-    row and ``end`` closes the last."""
-    count, stride = len(columns[0]), 2 * len(columns)
-    pieces = [""] * (stride * count) + [end]
-    for c, (head, texts) in enumerate(zip(heads, columns)):
-        pieces[2 * c : -1 : stride] = [head] * count
-        pieces[2 * c + 1 : -1 : stride] = texts
-    pieces[0] = first
-    for i in range(0, len(pieces), _CHUNK):
-        yield "".join(pieces[i : i + _CHUNK])
+def _row_chunks(columns: list[list[str]], first: str, cut: int = 0, end: str = ""):
+    """``first``, then rows of one text of each column, joined ``_CHUNK`` rows
+    at a time; the last row's final ``cut`` characters give way to ``end``."""
+    count, width = len(columns[0]), len(columns)
+    pieces = [""] * (width * count)
+    for c, texts in enumerate(columns):
+        pieces[c::width] = texts
+    pieces[0] = first + pieces[0]
+    pieces[-1] = pieces[-1][: len(pieces[-1]) - cut] + end
+    step = _CHUNK * width
+    for i in range(0, len(pieces), step):
+        yield "".join(pieces[i : i + step])
 
 
 def _violations_json(columns: regularity.ViolationColumns, indent: str):
     """Chunks of the violation list as json.dumps(sort_keys=True, indent=2)
-    writes it under a key indented by ``indent``."""
+    writes it under a key indented by ``indent``.  Each column's texts carry
+    its key; the last column's also close the row and open the next one."""
     if not len(columns):
         return ["[]"]
-    shifts = [_column_text(col, str) for col in columns.shifts.T]
-    gaps = _column_text(columns.gap, lambda g: _JSON_NONFINITE.get(repr(g), repr(g)))
-    texts = [gaps, _column_text(columns.k, str), *shifts]
     inner = f"{indent}    "
-    tail = f",\n{inner}\"p\": null" if len(shifts) == 2 else ""  # order 1: no p
-    tail += f"\n{indent}  }}"
-    opening = f"{indent}  {{\n{inner}\"gap\": "
-    heads = [f"{tail},\n{opening}"] + [f',\n{inner}"{key}": ' for key in ("k", "m", "n", "p")]
-    return _row_chunks(texts, heads, f"[\n{opening}", f"{tail}\n{indent}]")
+    opening = f",\n{indent}  {{\n{inner}\"gap\": "
+    close = f",\n{inner}\"p\": null" if columns.shifts.shape[1] == 2 else ""  # order 1: no p
+    ints = [columns.k, *columns.shifts.T]
+    tails = [""] * (len(ints) - 1) + [f"{close}\n{indent}  }}{opening}"]
+    texts = [_column_text(columns.gap, lambda g: _JSON_NONFINITE.get(r := repr(g), r))]
+    for key, col, tail in zip("kmnp", ints, tails):
+        texts.append(_column_text(col, str, f',\n{inner}"{key}": ', tail))
+    return _row_chunks(texts, f"[{opening[1:]}", len(opening), f"\n{indent}]")
 
 
 def _json_chunks(obj):
@@ -369,10 +382,10 @@ def _violations_csv(columns: regularity.ViolationColumns):
     header = "k,m,n,p,gap\n"
     if not len(columns):
         return [header]
-    shifts = [_column_text(col, str) for col in columns.shifts.T]
-    texts = [_column_text(columns.k, str), *shifts, _column_text(columns.gap, float.__repr__)]
-    heads = ["\n"] + [","] * len(shifts) + [",," if len(shifts) == 2 else ","]
-    return _row_chunks(texts, heads, header, "\n")
+    shifts = [_column_text(col, str, ",") for col in columns.shifts.T]
+    gap_head = ",," if len(shifts) == 2 else ","
+    gaps = _column_text(columns.gap, float.__repr__, gap_head, "\n")
+    return _row_chunks([_column_text(columns.k, str), *shifts, gaps], header)
 
 
 def cmd_regtest(res: _Resolver) -> int:

@@ -31,10 +31,12 @@ all-ones one, the conclusion at the all-ones one.  One recursive scan
 serves every order; it runs in one thread, as threads made every
 measured scan slower.  Violations stay columns from the scan to the
 report (``ViolationColumns``: base index, shifts, gap), extracted at
-once for all tuples that share their first d shifts, by unpacking only
-the nonzero bytes of their violation rows; the ``Violation``
-objects of ``RegularityReport.violations`` are built lazily, on first
-use, and the CLI writes its JSON and CSV reports from the columns.
+once for all tuples that share their first d shifts: one flat search of
+their packed violation rows finds the nonzero bytes, in row-major order,
+and only those bytes are unpacked.  The ``Violation`` objects of
+``RegularityReport.violations`` are built lazily, on first use; the CLI
+writes its JSON and CSV reports from the columns, formatting each
+distinct value of a column once.
 ``naive_test`` is the independent oracle: the same semantics as
 literal nested loops.
 """
@@ -305,16 +307,14 @@ def _scan(u: SequenceSample, params: RegularityParams, tables: dict, lo: int, hi
         if len(ns) == d:
             hyp += int(np.bitwise_count(cand).sum())
             viol = cand & rows(VQ, sum(ns))
-            t_idx = np.flatnonzero(viol.any(axis=1))
-            if len(t_idx):
-                # Unpack only the nonzero bytes; the packed padding bits are 0.
-                sub = viol[t_idx]
-                r, byte = np.nonzero(sub != 0)
-                hit, bit = np.nonzero(np.unpackbits(sub[r, byte, None], axis=1).view(bool))
+            # Unpack only the nonzero bytes, row-major; the packed padding bits are 0.
+            r, byte = np.divmod(np.flatnonzero(viol.ravel() != 0), viol.shape[1])
+            if len(r):
+                hit, bit = np.divmod(np.flatnonzero(np.unpackbits(viol[r, byte]).view(bool)), 8)
                 r, idx = r[hit], 8 * byte[hit] + bit
                 shifts = np.empty((len(idx), d + 1), dtype=np.int64)
                 shifts[:, :-1] = ns
-                shifts[:, -1] = t_idx[r] - S
+                shifts[:, -1] = r - S
                 i = b + idx
                 diff = u.values[i + shifts.sum(axis=1)] - u.values[i]
                 # hypot, not np.abs: it matches the scalar abs of naive_test bit for bit.

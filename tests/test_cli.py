@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,51 @@ class TestReportBytes:
         rows = zip(columns.k.tolist(), *columns.shifts.T.tolist(), columns.gap.tolist())
         csv = "".join(["k,m,n,p,gap\n", *(row % r for r in rows)])
         assert "".join(cli._violations_csv(columns)) == csv
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_chunk_rows(self, order, rows, monkeypatch):
+        payload = self.scan_payload(order)
+        columns = payload["report"]["violations"]
+        want_json, want_csv = reference_json(payload), "".join(cli._violations_csv(columns))
+        monkeypatch.setattr(cli, "_CHUNK", rows)
+        chunks = -(-len(columns) // rows)
+        assert len(list(cli._violations_json(columns, "    "))) == chunks > 1
+        assert len(list(cli._violations_csv(columns))) == chunks
+        assert cli._dump_json(payload) == want_json
+        assert "".join(cli._violations_csv(columns)) == want_csv
+
+    @pytest.mark.parametrize(
+        "values", [[-(2**62), 2**62], [2**62, -(2**62)], [2**63 - 1, -(2**63)], [0, 10**8]]
+    )
+    def test_wide_integer_column(self, values):
+        tracemalloc.start()
+        try:
+            texts = cli._column_text(np.array(values, dtype=np.int64), str, "<", ">")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert texts == [f"<{v}>" for v in values]
+        assert peak < 1 << 20  # no table over the range
+
+    @pytest.mark.parametrize(
+        "values, distinct",
+        [
+            ([3, -1, 3, 7, -1, 3, 3], 3),  # range within the presence table's reach
+            ([10**12, 5, 10**12, -5], 3),  # range far wider than the column
+            ([0.5, -0.0, 0.0, np.nan, 0.5, np.inf, -0.0, np.nan], 5),  # -0.0 is not 0.0
+        ],
+    )
+    def test_fmt_once_per_distinct_value(self, values, distinct):
+        calls = []
+
+        def fmt(v):
+            calls.append(v)
+            return repr(v)
+
+        texts = cli._column_text(np.array(values), fmt, "[", "]")
+        assert texts == [f"[{v!r}]" for v in values]
+        assert len(calls) == distinct
 
     def test_out_bytes_of_a_large_scan(self, tmp_path, monkeypatch):
         gen = np.random.default_rng(8)

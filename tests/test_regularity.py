@@ -229,6 +229,30 @@ class TestEngineOracleEquivalence:
         fast = self.assert_identical(u, params)
         assert len({(v.m, v.n) for v in fast.violations}) < 25 < len(fast.violations)
 
+    def test_identical_reports_dense_and_sparse_leaves(self):
+        # Period 5 plus a drift of 0.01 per step on n < 0 and three spikes on
+        # n > 0.  Shifts of 5 and 10 hold the delta hypothesis on the drift,
+        # so their leaves have rows of over 64 consecutive violations there;
+        # a shift of 15 breaks it, and its leaf has only the spikes' few.
+        gen = np.random.default_rng(4)
+        n = np.arange(-120, 121)
+        vals = np.exp(2j * np.pi * gen.uniform(size=5))[n % 5] + np.where(n < 0, 0.01 * n, 0)
+        vals[[160, 190, 215]] += 0.1
+        u = sample(vals, n_min=-120)
+        params = rg.RegularityParams(order=1, eps=0.08, delta=0.12, M=0, shift_max=15)
+        fast = self.assert_identical(u, params)
+        rows = {}
+        for v in fast.violations:
+            rows.setdefault((v.m, v.n), []).append(v.k)
+
+        def longest_run(ks):
+            starts = np.flatnonzero(np.diff(ks, prepend=ks[0] - 2) != 1)
+            return int(np.diff(np.append(starts, len(ks))).max())
+
+        assert max(longest_run(ks) for (m, _), ks in rows.items() if m == -10) > 64
+        sparse = [ks for (m, _), ks in rows.items() if m == 15]
+        assert sparse and max(map(len, sparse)) < 10
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_lazy_violations_built_once(self, order, monkeypatch):
         gen = np.random.default_rng(20 + order)
