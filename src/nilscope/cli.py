@@ -186,7 +186,7 @@ def _load_config(path: str | None) -> dict:
         if "=" not in line:
             raise UsageError(f"config: line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        cfg[key.replace("-", "_")] = value
+        cfg[key.replace("-", "_").lower()] = value  # argparse dests are lowercase: M -> m
     return cfg
 
 

@@ -207,7 +207,8 @@ def _theta_arr(obs: ObservableSpec, coords: np.ndarray) -> np.ndarray:
 
 
 def _eval_arr(obs: ObservableSpec, coords: np.ndarray) -> np.ndarray:
-    """Observable values on an (N, 3) array of canonical nil coordinates."""
+    """Observable values on an (N, 3) array of nil coordinates: canonical ones, or
+    global group coordinates for the characters and theta of ``eval_observable_raw``."""
     if obs.kind == "distance_to_base":
         return dist_arr(coords, np.array(obs.base.as_tuple())).astype(np.complex128)
     if obs.kind == "torus_character":
@@ -233,12 +234,9 @@ def eval_observable_raw(obs: ObservableSpec, g) -> complex:
     theta truncation error, which this evaluation exposes (the reduced
     evaluation is exactly coset-invariant by construction).
     """
-    if obs.kind == "torus_character":
-        return complex(np.exp(1j * _TWO_PI * (obs.k1 * g.x + obs.k2 * g.y)))
-    if obs.kind == "vertical_theta":
-        coords = np.array([(g.x, g.y, g.z)], dtype=np.float64)
-        return complex(_theta_arr(obs, coords)[0])
-    raise ValueError(f"{obs.kind} has no raw group-level evaluation")
+    if obs.kind == "distance_to_base":
+        raise ValueError(f"{obs.kind} has no raw group-level evaluation")
+    return complex(_eval_arr(obs, np.array([g.as_tuple()]))[0])
 
 
 def observable_bound(obs: ObservableSpec) -> float:

@@ -38,7 +38,8 @@ and only those bytes are unpacked.  The ``Violation`` objects of
 writes its JSON and CSV reports from the columns, formatting each
 distinct value of a column once.
 ``naive_test`` is the independent oracle: the same semantics as
-literal nested loops.
+literal nested loops, which collect the same columns, so its report is
+built and read exactly as the engine's is.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ __all__ = [
     "ViolationColumns",
     "CalibrationResult",
     "ShiftMetricResult",
-    "shift_mask",
-    "test_order1",
-    "test_order2",
     "run_test",
     "naive_test",
     "calibrate",
@@ -156,22 +154,8 @@ class RegularityReport:
     columns: ViolationColumns
     hypothesis_count: int
     scanned: int
-    k_lo: int = 0
-    k_hi: int = -1
-
-    @classmethod
-    def from_violations(cls, violations: list[Violation], order: int, **counts) -> "RegularityReport":
-        """A report over the given list, which ``violations`` then returns as is."""
-        columns = ViolationColumns(
-            k=np.array([v.k for v in violations], dtype=np.int64),
-            shifts=np.array(
-                [(v.m, v.n, v.p)[: order + 1] for v in violations], dtype=np.int64
-            ).reshape(-1, order + 1),
-            gap=np.array([v.gap for v in violations], dtype=np.float64),
-        )
-        report = cls(columns, **counts)
-        report.__dict__["violations"] = violations  # the functools.cached_property slot
-        return report
+    k_lo: int
+    k_hi: int
 
     @property
     def violation_count(self) -> int:
@@ -251,26 +235,6 @@ def _shift_rows(table: np.ndarray, start: int, nbits: int, D: int) -> np.ndarray
     return np.packbits(np.concatenate((back, table[: D + 1, start : start + nbits])), axis=1)
 
 
-def shift_mask(u: SequenceSample, s: int, delta: float, M: int) -> np.ndarray:
-    """Boolean array over u's indices: True at k when the shift-s condition holds.
-
-    mask[k - u.n_min] is True iff max over i in [k-M, k+M] of
-    |u_{i+s} - u_i| < delta, with every access in range; entries whose
-    window would leave the sample are False.
-    """
-    L = len(u.values)
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    back = max(0, -s)
-    if L - abs(s) < 2 * M + 1:
-        raise ValueError(f"shift {s} with M={M} leaves no computable window")
-    table = _threshold_tables(u.values, (delta,), abs(s))[delta]
-    free = _window_free(table[abs(s) :], M)[0]
-    mask = np.zeros(L, dtype=bool)
-    mask[M + back : L - M] = free[: L - 2 * M - back]
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Packed-mask scan
 # ---------------------------------------------------------------------------
@@ -335,20 +299,6 @@ def _scan(u: SequenceSample, params: RegularityParams, tables: dict, lo: int, hi
     return ViolationColumns(*(np.concatenate(c) for c in zip(*chunks))), hyp
 
 
-def test_order2(u: SequenceSample, params: RegularityParams) -> RegularityReport:
-    """Order-2 regularity scan with the packed-mask engine."""
-    if params.order != 2:
-        raise ValueError("params.order must be 2")
-    return run_test(u, params)
-
-
-def test_order1(u: SequenceSample, params: RegularityParams) -> RegularityReport:
-    """Order-1 (almost periodicity) regularity scan with the packed-mask engine."""
-    if params.order != 1:
-        raise ValueError("params.order must be 1")
-    return run_test(u, params)
-
-
 def run_test(u: SequenceSample, params: RegularityParams, tables: dict | None = None):
     """Regularity scan of order params.order with the packed-mask engine; ``tables``
     (``_threshold_tables`` of u at delta and eps, Q >= (order+1) S) lets ``calibrate``
@@ -377,7 +327,7 @@ def naive_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
                 return False
         return True
 
-    violations: list[Violation] = []
+    ks, tuples, gaps = [], [], []
     hyp = 0
     scanned = 0
     for ns in itertools.product(range(-S, S + 1), repeat=params.order + 1):
@@ -388,10 +338,15 @@ def naive_test(u: SequenceSample, params: RegularityParams) -> RegularityReport:
                 hyp += 1
                 gap = abs(vals[k + shifts[-1] - n0] - vals[k - n0]) - eps
                 if gap >= 0:
-                    violations.append(Violation.at(k, ns, float(gap)))
-    return RegularityReport.from_violations(
-        violations, params.order, hypothesis_count=hyp, scanned=scanned, k_lo=lo, k_hi=hi
+                    ks.append(k)
+                    tuples.append(ns)
+                    gaps.append(gap)
+    columns = ViolationColumns(
+        np.array(ks, dtype=np.int64),
+        np.array(tuples, dtype=np.int64).reshape(-1, params.order + 1),
+        np.array(gaps, dtype=np.float64),
     )
+    return RegularityReport(columns, hyp, scanned, k_lo=lo, k_hi=hi)
 
 
 @dataclass

@@ -228,7 +228,7 @@ def test_criterion_08_order2_positive_control(spec):
 def test_criterion_09_negative_controls():
     t0 = time.monotonic()
     u = ns.quadratic_phase(math.sqrt(2) - 1, 1000)
-    rep1 = rg.test_order1(
+    rep1 = rg.run_test(
         u, rg.RegularityParams(order=1, eps=0.3, delta=0.3, M=1, shift_max=30)
     )
     assert len(rep1.violations) >= 1
@@ -237,7 +237,7 @@ def test_criterion_09_negative_controls():
     vals = gen.uniform(-1, 1, 601) + 1j * gen.uniform(-1, 1, 601)
     vals /= np.maximum(1.0, np.abs(vals))
     ur = ns.SequenceSample(values=vals, n_min=-300)
-    rep2 = rg.test_order2(
+    rep2 = rg.run_test(
         ur, rg.RegularityParams(order=2, eps=0.2, delta=1.0, M=0, shift_max=8)
     )
     assert len(rep2.violations) >= 1

@@ -233,6 +233,21 @@ class TestRegtest:
         assert run(["regtest", "--config", str(cfg)]) == 2
         assert "calibrate: cannot parse config value 'maybe'" in capsys.readouterr().err
 
+    def test_config_keys_named_as_the_flags(self, tmp_path):
+        # The long option names --M and --M-grid, as docs/formats.md spells keys.
+        seq = self.make_sequence(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        rep = tmp_path / "rep.json"
+        cfg.write_text("M = 1\ndelta = 0.3\n")
+        assert run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.3",
+                    "--shift-max", "5", "--config", str(cfg), "--out", str(rep)]) == 0
+        assert json.loads(rep.read_text())["M"] == 1
+        cfg.write_text("M_grid = 1,2\n")
+        assert run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.3",
+                    "--shift-max", "5", "--calibrate", "--config", str(cfg),
+                    "--out", str(rep)]) == 0
+        assert json.loads(rep.read_text())["calibrate"]["M_grid"] == [1, 2]
+
 
 def bump_sequence(path):
     """A zero sequence on [-6, 6] with one complex bump at 0: two violations at S=1."""

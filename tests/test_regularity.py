@@ -21,49 +21,6 @@ def random_sample(rng, N=100):
     return sample(vals)
 
 
-class TestShiftMask:
-    def test_constant_sequence_all_true(self):
-        u = sample(np.ones(41))
-        mask = rg.shift_mask(u, 5, delta=0.1, M=3)
-        # computable k offsets: window [k-M, k+M] inside valid i range
-        # [0, 35], so offsets 3..32 inclusive.
-        assert mask[3:33].all()
-        assert not mask[:3].any() and not mask[33:].any()
-        assert mask.sum() == 30
-
-    def test_zero_shift_all_true(self, rng):
-        u = random_sample(rng, 30)
-        mask = rg.shift_mask(u, 0, delta=1e-9, M=2)
-        assert mask[2:-2].all()
-        assert not mask[:2].any() and not mask[-2:].any()
-
-    # delta reaches past the largest difference (2 * sqrt(2)), so wide
-    # windows also yield partly and wholly True masks.
-    @given(st.integers(-40, 40), st.integers(0, 25), st.floats(0.05, 3.0))
-    @settings(max_examples=30)
-    def test_agrees_with_direct_double_loop(self, s, M, delta):
-        gen = np.random.default_rng(42)
-        u = random_sample(gen, 60)
-        mask = rg.shift_mask(u, s, delta, M)
-        vals = u.values
-        L = len(vals)
-        for k_idx in range(L):
-            i_lo, i_hi = k_idx - M, k_idx + M
-            valid = i_lo >= max(0, -s) and i_hi <= (L - 1) - max(0, s)
-            if not valid:
-                assert not mask[k_idx]
-                continue
-            direct = max(abs(vals[i + s] - vals[i]) for i in range(i_lo, i_hi + 1))
-            assert mask[k_idx] == (direct < delta)
-
-    def test_out_of_range_raises(self):
-        u = sample(np.ones(11))
-        with pytest.raises(ValueError):
-            rg.shift_mask(u, 11, delta=0.1, M=0)
-        with pytest.raises(ValueError):
-            rg.shift_mask(u, 0, delta=0.1, M=6)
-
-
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,14 +46,14 @@ class TestParams:
         u = sample(np.ones(11))
         params = rg.RegularityParams(order=2, eps=0.1, delta=0.1, M=2, shift_max=4)
         with pytest.raises(ValueError):
-            rg.test_order2(u, params)
+            rg.run_test(u, params)
 
     def test_k_range_clipped(self, rng):
         u = random_sample(rng, 50)
         params = rg.RegularityParams(
             order=1, eps=0.5, delta=0.5, M=1, shift_max=3, k_range=(-1000, 1000)
         )
-        report = rg.test_order1(u, params)
+        report = rg.run_test(u, params)
         assert report.k_lo == -50 + params.margin
         assert report.k_hi == 50 - params.margin
 
@@ -106,14 +63,14 @@ class TestParams:
             order=1, eps=0.5, delta=0.5, M=1, shift_max=3, k_range=(200, 300)
         )
         with pytest.raises(ValueError):
-            rg.test_order1(u, params)
+            rg.run_test(u, params)
 
 
 class TestOrder2:
     def test_constant_sequence_clean(self):
         u = sample(np.full(201, 0.7 + 0.2j))
         params = rg.RegularityParams(order=2, eps=0.3, delta=0.01, M=5, shift_max=5)
-        report = rg.test_order2(u, params)
+        report = rg.run_test(u, params)
         assert report.violations == []
         assert not report.vacuous
         assert report.scanned == 11**3
@@ -123,7 +80,7 @@ class TestOrder2:
         vals = [(-1.0) ** n for n in range(-64, 65)]
         u = sample(np.asarray(vals), n_min=-64)
         params = rg.RegularityParams(order=2, eps=0.5, delta=0.5, M=2, shift_max=6)
-        report = rg.test_order2(u, params)
+        report = rg.run_test(u, params)
         assert report.violations == []
         assert report.hypothesis_count > 0
         brute = rg.naive_test(u, params)
@@ -136,7 +93,7 @@ class TestOrder2:
         vals /= np.maximum(1.0, np.abs(vals))
         u = sample(vals)
         params = rg.RegularityParams(order=2, eps=0.2, delta=1.0, M=0, shift_max=6)
-        report = rg.test_order2(u, params)
+        report = rg.run_test(u, params)
         assert len(report.violations) >= 1
         for v in report.violations:
             assert v.gap >= 0
@@ -144,14 +101,8 @@ class TestOrder2:
     def test_violations_subset_of_hypothesis(self, rng):
         u = random_sample(rng, 60)
         params = rg.RegularityParams(order=2, eps=0.4, delta=1.2, M=0, shift_max=3)
-        report = rg.test_order2(u, params)
+        report = rg.run_test(u, params)
         assert len(report.violations) <= report.hypothesis_count
-
-    def test_order_guard(self, rng):
-        u = random_sample(rng, 60)
-        params = rg.RegularityParams(order=1, eps=0.4, delta=1.2, M=0, shift_max=3)
-        with pytest.raises(ValueError):
-            rg.test_order2(u, params)
 
 
 class TestOrder1:
@@ -165,13 +116,13 @@ class TestOrder1:
     def test_quadratic_phase_violations(self):
         u = ns.quadratic_phase(math.sqrt(2) - 1, 1000)
         params = rg.RegularityParams(order=1, eps=0.3, delta=0.3, M=1, shift_max=30)
-        report = rg.test_order1(u, params)
+        report = rg.run_test(u, params)
         assert len(report.violations) >= 1
 
     def test_constant_clean(self):
         u = sample(np.ones(101))
         params = rg.RegularityParams(order=1, eps=0.1, delta=0.1, M=2, shift_max=4)
-        report = rg.test_order1(u, params)
+        report = rg.run_test(u, params)
         assert report.violations == []
 
 
@@ -182,10 +133,10 @@ class TestOrderSeparation:
         # hypothesis support, at identical (eps, delta, M).
         u = ns.generate(spec, ns.ObservableSpec(kind="vertical_theta", m_freq=1), 2000)
         p1 = rg.RegularityParams(order=1, eps=0.3, delta=0.3, M=1, shift_max=60)
-        rep1 = rg.test_order1(u, p1)
+        rep1 = rg.run_test(u, p1)
         assert len(rep1.violations) > 0
         p2 = rg.RegularityParams(order=2, eps=0.3, delta=0.3, M=1, shift_max=60)
-        rep2 = rg.test_order2(u, p2)
+        rep2 = rg.run_test(u, p2)
         assert rep2.violations == []
         trivial = rep2.k_hi - rep2.k_lo + 1
         assert rep2.hypothesis_count > trivial
@@ -193,9 +144,9 @@ class TestOrderSeparation:
     def test_quadratic_phase_is_order2_not_order1(self):
         u = ns.quadratic_phase(math.sqrt(2) - 1, 1500)
         p1 = rg.RegularityParams(order=1, eps=0.3, delta=0.3, M=1, shift_max=50)
-        assert len(rg.test_order1(u, p1).violations) > 0
+        assert len(rg.run_test(u, p1).violations) > 0
         p2 = rg.RegularityParams(order=2, eps=0.3, delta=0.3, M=1, shift_max=50)
-        rep2 = rg.test_order2(u, p2)
+        rep2 = rg.run_test(u, p2)
         assert rep2.violations == []
         assert rep2.hypothesis_count > rep2.k_hi - rep2.k_lo + 1
 
@@ -258,7 +209,8 @@ class TestEngineOracleEquivalence:
         gen = np.random.default_rng(20 + order)
         u = random_sample(gen, 40)
         params = rg.RegularityParams(order=order, eps=0.4, delta=1.2, M=1, shift_max=2)
-        slow = rg.naive_test(u, params)
+        # The oracle's list is built before Violation.at is counted.
+        slow = rg.naive_test(u, params).violations
         calls = []
         real_at = rg.Violation.at
         monkeypatch.setattr(
@@ -266,11 +218,27 @@ class TestEngineOracleEquivalence:
         )
         fast = rg.run_test(u, params)
         assert not calls  # the scan keeps columns only
-        assert fast.violation_count == len(slow.violations) > 0
-        assert fast.violations == slow.violations
+        assert fast.violation_count == len(slow) > 0
+        assert fast.violations == slow
         assert len(calls) == fast.violation_count
         assert fast.violations is fast.violations
         assert len(calls) == fast.violation_count
+
+    # eps 3 is past every |u_a - u_b| <= 2 sqrt(2), so nothing violates.
+    @pytest.mark.parametrize("order, eps", [(1, 0.4), (2, 0.4), (1, 3.0), (2, 3.0)])
+    def test_identical_columns(self, order, eps):
+        gen = np.random.default_rng(30 + order)
+        u = random_sample(gen, 40)
+        params = rg.RegularityParams(order=order, eps=eps, delta=1.2, M=1, shift_max=2)
+        fast = rg.run_test(u, params).columns
+        slow = rg.naive_test(u, params).columns
+        assert (len(fast) > 0) == (eps < 3)
+        assert fast.shifts.shape == (len(fast), order + 1)
+        for name, dtype in (("k", np.int64), ("shifts", np.int64), ("gap", np.float64)):
+            got, want = getattr(fast, name), getattr(slow, name)
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
     @staticmethod
     def assert_identical(u, params):
@@ -368,7 +336,7 @@ class TestInvariants:
         counts = []
         for eps in (0.1, 0.3, 0.9):
             params = rg.RegularityParams(order=2, eps=eps, delta=1.0, M=0, shift_max=3)
-            counts.append(len(rg.test_order2(u, params).violations))
+            counts.append(len(rg.run_test(u, params).violations))
         assert counts[0] >= counts[1] >= counts[2]
 
     def test_monotone_in_delta(self, rng):
@@ -376,7 +344,7 @@ class TestInvariants:
         counts = []
         for delta in (1.5, 0.8, 0.2):
             params = rg.RegularityParams(order=2, eps=0.3, delta=delta, M=0, shift_max=3)
-            counts.append(len(rg.test_order2(u, params).violations))
+            counts.append(len(rg.run_test(u, params).violations))
         assert counts[0] >= counts[1] >= counts[2]
 
     def test_monotone_in_M(self, rng):
@@ -384,7 +352,7 @@ class TestInvariants:
         counts = []
         for M in (0, 1, 2):
             params = rg.RegularityParams(order=2, eps=0.3, delta=1.0, M=M, shift_max=3)
-            counts.append(len(rg.test_order2(u, params).violations))
+            counts.append(len(rg.run_test(u, params).violations))
         assert counts[0] >= counts[1] >= counts[2]
 
     def test_shift_symmetry_per_k(self, rng):
@@ -392,7 +360,7 @@ class TestInvariants:
         # violating k sets agree across permuted tuples.
         u = random_sample(rng, 50)
         params = rg.RegularityParams(order=2, eps=0.25, delta=1.1, M=0, shift_max=3)
-        report = rg.test_order2(u, params)
+        report = rg.run_test(u, params)
         by_tuple = {}
         for v in report.violations:
             by_tuple.setdefault((v.m, v.n, v.p), set()).add(v.k)
@@ -403,7 +371,7 @@ class TestInvariants:
     def test_zero_shift_tuple_never_violates(self, rng):
         u = random_sample(rng, 50)
         params = rg.RegularityParams(order=2, eps=1e-9, delta=2.5, M=0, shift_max=2)
-        report = rg.test_order2(u, params)
+        report = rg.run_test(u, params)
         assert all((v.m, v.n, v.p) != (0, 0, 0) for v in report.violations)
 
 
