@@ -193,6 +193,8 @@ def _load_config(path: str | None) -> dict:
 class _Resolver:
     """Flag -> config -> default resolution with typed conversion."""
 
+    NAMES = {"m": "M", "m_grid": "M_grid"}  # messages name config keys, in their case
+
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _load_config(args.config)
@@ -209,14 +211,25 @@ class _Resolver:
             try:
                 return cast(raw)
             except (TypeError, ValueError):
-                raise UsageError(f"{name}: cannot parse config value {raw!r}") from None
+                raise self.error(name, f"cannot parse config value {raw!r}") from None
         return default
+
+    def error(self, name: str, message: str) -> UsageError:
+        return UsageError(f"{self.NAMES.get(name, name)}: {message}")
 
     def require(self, name: str, cast):
         value = self.get(name, None, cast)
         if value is None:
-            raise UsageError(f"{name}: required")
+            raise self.error(name, "required")
         return value
+
+    def grid(self, name: str, default: str, cast) -> list:
+        """A comma-separated list of cast values from a flag, config or default."""
+        raw = self.get(name, default, str)
+        try:
+            return [cast(p) for p in raw.split(",") if p.strip()]
+        except ValueError:
+            raise self.error(name, f"cannot parse grid value {raw!r}") from None
 
 
 def _parse_bool(raw: str) -> bool:
@@ -373,10 +386,6 @@ def cmd_generate(res: _Resolver) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid_list(raw: str, cast):
-    return [cast(p) for p in raw.split(",") if p.strip()]
-
-
 def _violations_csv(columns: regularity.ViolationColumns):
     """Chunks of rows k,m,n,p,gap under a header; p is empty at order 1, gap is repr(float)."""
     header = "k,m,n,p,gap\n"
@@ -408,8 +417,8 @@ def cmd_regtest(res: _Resolver) -> int:
     }
     try:
         if calibrate_mode:
-            M_grid = _grid_list(res.get("m_grid", "5,10,25", str), int)
-            delta_grid = _grid_list(res.get("delta_grid", "0.02,0.05,0.1", str), float)
+            M_grid = res.grid("m_grid", "5,10,25", int)
+            delta_grid = res.grid("delta_grid", "0.02,0.05,0.1", float)
             cal = regularity.calibrate(
                 u, eps, M_grid, delta_grid, shift_max, order=order, k_range=k_range
             )

@@ -27,11 +27,10 @@ of seven table lookups D_v[shift_v], so the horizon cube can be scanned
 with array arithmetic.  Scan order is by shells of |m| + |n| + |p| with
 lexicographic (m, n, p) inside a shell; the search early-exits at the
 first witness below ``resid_tol`` and otherwise returns the global
-argmin (ties broken by shell order).  One block scan serves four
-queries: the early exit and the argmin (``_cube_min``), the cells
+argmin (ties broken by shell order).  One block scan serves three
+queries: the early exit and the argmin (``_cube_min``), and the cells
 below twice the residual behind the completion spread
-(``_cells_below``), and the RP (k = 1), RP2 and RPDS (k = 2) time-shift
-minima of ``proximality``.  It is exact while pruning: a cell's
+(``_cells_below``).  It is exact while pruning: a cell's
 objective is at least each of its single-axis lookups D_1[m], D_2[n],
 D_4[p], so an axis value whose lookup is at or above the bound cannot
 lie under any cell below it, and an axis left empty ends the scan
@@ -370,16 +369,12 @@ def _order_key(*ns: int) -> tuple[int, ...]:
 def _prune_axes(tables, axes, bound: float):
     """The axes without the values whose single-bit lookup is >= bound (exact).
 
-    None at the first axis left empty: no cell is below bound.  An axis
-    that repeats the previous axis and its table (the pair scans share one
-    span and one table) reuses its pruning.
+    None at the first axis left empty: no cell is below bound.
     """
     kept = []
     for j, axis in enumerate(axes):
         table = tables.get(1 << j)
-        if j and axis is axes[j - 1] and table is tables.get(1 << (j - 1)):
-            axis = kept[-1]
-        elif table is not None:
+        if table is not None:
             off, D = table
             axis = axis[D[axis + off] < bound]
         if not len(axis):

@@ -16,12 +16,15 @@ p, q we minimize the symmetrized box norm
     ||(x, y, z)||_sym = max(|x|, |y|, |z - x*y/2|)
 
 of p * (q * gamma)^{-1} over all lattice elements gamma = (a, b, c).  The
-minimum is attained in the window {-2, ..., 2}^3 and is computed from 18
-candidates: a, b in {-1, 0, 1} (a or b = +-2 already gives a coordinate
-of norm at least 1, while gamma = (0, 0, c) always gives less), and for
-each (a, b) the two integers c next to the symmetrized central coordinate
-at c = 0, since c only shifts that coordinate.  The symmetrized central
-coordinate makes ||g|| = ||g^{-1}||, so in exact arithmetic the gauge is
+minimum is attained in the window {-2, ..., 2}^3 and is computed from 8
+candidates.  With s, t = +-1 the signs of px - qx and py - qy (both in
+(-1, 1)), the lift a = -s gives |ux| >= 1 (computed: 1 less a few
+ulps), as does |a| >= 2, and likewise for b; the nearer lifts in {0, s}
+x {0, t} give a norm of at most 1/2 plus a few ulps.  So these four
+(a, b) alone can attain the minimum, each with the two integers c next
+to its symmetrized central coordinate at c = 0, since c only shifts that
+coordinate.  The symmetrized central coordinate makes ||g|| =
+||g^{-1}||, so in exact arithmetic the gauge is
 symmetric and 0 on the diagonal.  In float64 both hold to a few ulps: on
 10^5 random pairs d(p, q) and d(q, p) differ for about a third, by up to
 about 7e-16, and d(p, p) reaches about 6e-17.  It separates points, is
@@ -145,9 +148,10 @@ def sym_norm(g: GroupElement) -> float:
     return max(abs(g.x), abs(g.y), abs(g.z - 0.5 * g.x * g.y))
 
 
-# Abelian parts (a, b) of the lattice elements that can attain the gauge.
-_GAUGE_A = np.repeat([-1.0, 0.0, 1.0], 3)
-_GAUGE_B = np.tile([-1.0, 0.0, 1.0], 3)
+# Lattice candidates (module docs): a, b times the signs of px - qx, py - qy; c - c0.
+_GAUGE_A = np.array([0.0, 1.0, 0.0, 1.0])
+_GAUGE_B = np.array([0.0, 0.0, 1.0, 1.0])
+_GAUGE_C = np.array([-0.0, 1.0])  # -0.0 keeps c0 as it is, bit for bit
 
 
 def dist(p: NilPoint, q: NilPoint) -> float:
@@ -201,31 +205,36 @@ def dist_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Each candidate u = p * (q * gamma)^{-1} is evaluated in the float
     operation order of ``mul_arr``/``inv_arr``, so its norm is bit for bit
-    the one a brute-force scan over the lattice window would give.
+    the one a brute-force scan over the lattice window would give (x - y
+    rounds as x + (-y) does).  The candidates lie on a leading axis.
     """
-    p = np.asarray(p, dtype=np.float64)[..., None, :]
-    q = np.asarray(q, dtype=np.float64)[..., None, :]
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     px, py, pz = p[..., 0], p[..., 1], p[..., 2]
     qx, qy, qz = q[..., 0], q[..., 1], q[..., 2]
-    gx = qx + _GAUGE_A                               # (..., 9)
-    gy = qy + _GAUGE_B
-    qxb = qx * _GAUGE_B
+    dy = py - qy
+    lead = (-1,) + (1,) * dy.ndim   # the candidate axis, before the broadcast shape
+    # Where px == qx, copysign still gives a lift of +-1: a candidate with |ux| = 1.
+    b = np.copysign(_GAUGE_B.reshape(lead), dy)
+    gx = qx + np.copysign(_GAUGE_A.reshape(lead), px - qx)     # (4, ...)
+    gy = qy + b
+    qxb = qx * b
     gxy = gx * gy
-    pgy = px * (-gy)
-    ux = px + (-gx)
-    uy = py + (-gy)
+    pgy = px * gy
+    ux = px - gx
+    uy = py - gy
     half = 0.5 * ux * uy
 
     def central(c):
-        # Symmetrized central coordinate of the candidate with lattice c.
-        gz = (qz + c) + qxb
-        return ((pz + (-gz + gxy)) + pgy) - half
+        # Symmetrized central coordinate of the candidates with lattice c.
+        return ((pz + (gxy - ((qz + c) + qxb))) - pgy) - half
 
-    c0 = np.floor(central(0.0))
-    n = np.minimum(np.abs(central(c0)), np.abs(central(c0 + 1.0)))
+    n = np.abs(central(np.floor(central(0.0)) + _GAUGE_C.reshape((2,) + lead)))
+    n = np.minimum(n[0], n[1])
     np.maximum(n, np.abs(ux), out=n)
     np.maximum(n, np.abs(uy), out=n)
-    return n.min(axis=-1)
+    n = np.minimum(n[:2], n[2:])
+    return np.minimum(n[0], n[1])
 
 
 def floor_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:

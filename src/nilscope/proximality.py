@@ -30,12 +30,16 @@ which measures both orbits against y, at least half of it (triangle
 inequality on Z).  A pair whose bound, less a margin for the orbit
 rounding that grows with n_max (see ``_factor_bound``), is at or above
 the best value so far is skipped, and its tables are not built.
-``cubes._cube_min`` scans each remaining pair's time shifts below the
-best value so far.  Its single-axis pruning is exact: only shifts whose
-own cost is below that bound enter the grid, and a pair with none is
-dropped.  Neither cut changes the record, because the pair loop only
-accepts a strict improvement and every tie of an improving minimum lies
-inside the scanned part of the grid.
+``_pair_min`` scans each remaining pair's time shifts below the best
+value so far.  Every vertex reads the pair's one cost table f: RP's
+minimum is a 1-d argmin, and an RP2/RPDS cell (m, n) costs
+max(f(m), f(n), f(m+n)), so only the m with f(m) below the bound are
+kept, and a pair with none is dropped.  Few kept shifts are gathered cell
+by cell, many read as row blocks of a Hankel view of f over their span,
+whose other rows and columns read f at or above the bound.  Neither cut
+changes the record, because the pair loop only accepts a strict
+improvement and every tie of an improving minimum lies inside the
+scanned part of the grid.
 
 Determinism: the perturbation offsets are a Halton point set in group
 coordinates scaled to the perturbation radius, shared between the two
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubes import Oct, _cube_min, vertex_shifts
+from .cubes import _GRID_CHUNK, Oct, vertex_shifts
 from .systems import System, SystemSpec, system_for
 
 __all__ = [
@@ -81,6 +85,9 @@ _SEED_STRIDE = 1 << 20
 SEED_LIMIT = 1 << 43  # seed * _SEED_STRIDE + sample index stays below 2**63
 # Time axes of each relation: RP's shift n; the RP2 and RPDS times m, n (and m+n).
 _AXES = {"RP": 1, "RP2": 2, "RPDS": 2}
+# Kept shifts up to which gathering cells beats Hankel blocks (replayed witness
+# pair scans: the gather is faster below about 96, the blocks above about 128).
+_GATHER_MAX = 96
 
 
 @dataclass(frozen=True)
@@ -168,18 +175,43 @@ def _pair_min(f: np.ndarray, n_max: int, k: int, bound: float = np.inf):
     """Minimize max of f at the vertex shifts of (n_1, ..., n_k), |n_j| <= n_max.
 
     ``f`` covers shifts [-k n_max, k n_max] and serves every vertex of the
-    cube scan: k = 1 is RP's shift n, k = 2 the RP2/RPDS times m, n, m+n.
+    pair scan: k = 1 is RP's shift n, k = 2 the RP2/RPDS times m, n, m+n.
     Returns (inner, m, n), m = 0 for k = 1, ties of the computed costs
     resolved by (|m| + |n|, m, n); None unless the minimum is below bound.
     On a torus rotation every shift has the same exact cost, but the
     computed costs round apart, so m and n are float noise among them.
     """
-    tables = dict.fromkeys(range(1, 1 << k), (k * n_max, f))
-    hit = _cube_min(tables, [np.arange(-n_max, n_max + 1)] * k, bound)
-    if hit is None:
+    if k == 1:
+        at = np.flatnonzero(f == f.min()) - n_max  # the shifts at the minimum, ascending
+        n = at[np.abs(at).argmin()]
+        return (float(f[n + n_max]), 0, int(n)) if f[n + n_max] < bound else None
+    head = f[n_max : 3 * n_max + 1]  # f(m) for |m| <= n_max
+    kept = np.flatnonzero(head < bound)  # m + n_max for each m with f(m) below bound
+    if not len(kept):
         return None
-    inner, ns = hit
-    return (inner, *(0, *ns)[-2:])
+    if len(kept) <= _GATHER_MAX:
+        # f(m + n) sits at f[(m + n_max) + (n + n_max)].
+        blocks = [(kept, kept, f[kept[:, None] + kept])]
+    else:
+        # A Hankel view, box[i, j] = f[span[i] + span[j]], in blocks of about _GRID_CHUNK cells.
+        span = np.arange(kept[0], kept[-1] + 1)
+        box = np.lib.stride_tricks.as_strided(f[2 * span[0] :], (len(span),) * 2, f.strides * 2)
+        step = max(1, _GRID_CHUNK // len(span))
+        blocks = ((span[i : i + step], span, box[i : i + step]) for i in range(0, len(span), step))
+    best = (bound,)  # sorts after every (inner, |m| + |n|, m, n) with inner < bound
+    for rows, cols, obj in blocks:
+        obj = np.maximum(obj, head[rows, None])
+        np.maximum(obj, head[cols], out=obj)
+        flat = obj.ravel()
+        v = flat[flat.argmin()]
+        if v <= best[0]:
+            # The cells at the minimum come in lexicographic (m, n) order.
+            m, n = np.divmod(np.flatnonzero(flat == v), len(cols))
+            m, n = rows[m] - n_max, cols[n] - n_max
+            shell = np.abs(m) + np.abs(n)
+            t = shell.argmin()
+            best = min(best, (float(v), int(shell[t]), int(m[t]), int(n[t])))
+    return None if len(best) == 1 else (best[0], *best[2:])
 
 
 def _factor_bound(system, xp, yp, budget, relation):
@@ -223,8 +255,7 @@ def _run_search(system, x, y, xp, yp, budget, relation, pair_objective):
     is skipped without calling it, for the same reason.
     """
     deadline = time.monotonic() + budget.time_cap_ms / 1000.0
-    bx = system.dist(xp, system.row(x))
-    by = system.dist(yp, system.row(y))
+    bx, by = system.dist(np.stack((xp, yp)), np.stack((system.row(x), system.row(y)))[:, None])
     ii, jj, base = _pair_order(bx, by)
     lower = _factor_bound(system, xp, yp, budget, relation)
 

@@ -265,12 +265,13 @@ class RotationSystem(System):
 
     @staticmethod
     def dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Sup metric on the torus: max over the last axis of the circle distance."""
+        """Sup metric on the torus: the elementwise max of its one or two circle distances."""
         if np.shape(a)[-1] != np.shape(b)[-1]:
             raise ValueError("torus points of different dimension")
         delta = a - b
         frac = delta - np.floor(delta)
-        return np.minimum(frac, 1.0 - frac).max(axis=-1)
+        d = np.minimum(frac, 1.0 - frac)
+        return np.maximum(d[..., 0], d[..., -1])
 
     floor = dist
 

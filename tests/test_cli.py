@@ -248,6 +248,37 @@ class TestRegtest:
                     "--out", str(rep)]) == 0
         assert json.loads(rep.read_text())["calibrate"]["M_grid"] == [1, 2]
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--delta-grid", "0.1,abc", "delta_grid"),
+        ("--M-grid", "2,x", "M_grid"),
+    ])
+    def test_bad_grid_flag_names_its_field(self, tmp_path, capsys, flag, value, name):
+        seq = self.make_sequence(tmp_path)
+        code = run(["regtest", "--input", str(seq), "--order", "2", "--eps", "0.3",
+                    "--shift-max", "3", "--calibrate", flag, value])
+        assert code == 2
+        assert f"error: {name}: cannot parse grid value {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, name, value", [
+        ("M_grid = x", "M_grid", "x"),
+        ("delta_grid = 0.1,abc", "delta_grid", "0.1,abc"),
+    ])
+    def test_bad_grid_config_line_names_its_field(self, tmp_path, capsys, line, name, value):
+        seq = self.make_sequence(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = run(["regtest", "--input", str(seq), "--order", "2", "--eps", "0.3",
+                    "--shift-max", "3", "--calibrate", "--config", str(cfg)])
+        assert code == 2
+        assert f"error: {name}: cannot parse grid value {value!r}" in capsys.readouterr().err
+
+    def test_missing_M_names_the_option(self, tmp_path, capsys):
+        seq = self.make_sequence(tmp_path)
+        code = run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.3",
+                    "--delta", "0.3", "--shift-max", "5"])
+        assert code == 2
+        assert "error: M: required" in capsys.readouterr().err
+
 
 def bump_sequence(path):
     """A zero sequence on [-6, 6] with one complex bump at 0: two violations at S=1."""

@@ -181,6 +181,13 @@ class TestDist:
             tor = max(min(dx, 1 - dx), min(dy, 1 - dy))
             assert h.dist(p, q) >= tor - 1e-12
 
+    def test_stacked_call_matches_separate_calls(self, rng):
+        # The witness search takes both base distances in one (2, K) call.
+        xp, yp, x, y = rng.random((16, 3)), rng.random((16, 3)), rng.random(3), rng.random(3)
+        both = h.dist_arr(np.stack((xp, yp)), np.stack((x, y))[:, None])
+        assert both.shape == (2, 16)
+        assert np.array_equal(both, np.stack((h.dist_arr(xp, x), h.dist_arr(yp, y))))
+
 
 def window_gauge(p, q, ab=range(-2, 3), cs=range(-2, 3)):
     """Brute-force gauge: min of the symmetrized norm over a lattice window.

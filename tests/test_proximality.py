@@ -429,6 +429,63 @@ class TestPruning:
                     assert inner >= best
 
 
+def pair_min_oracle(f, n_max, k):
+    """Every cell of the (m, n) square in a literal double loop: (cost, |m| + |n|, m, n).
+
+    The cost is the max of f at the cell's vertex shifts, n alone for k = 1
+    (m = 0) and m, n, m+n for k = 2; the smallest key is the minimum with
+    its tie-break.
+    """
+    off = k * n_max
+    best = None
+    for m in range(-n_max, n_max + 1) if k == 2 else [0]:
+        for n in range(-n_max, n_max + 1):
+            cost = max(f[s + off] for s in ([n] if k == 1 else [m, n, m + n]))
+            key = (float(cost), abs(m) + abs(n), m, n)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+class TestPairMinOracle:
+    """_pair_min against a literal loop over every cell, at bounds around the minimum."""
+
+    # 121 shifts per axis: a full kept set is read through Hankel blocks,
+    # and a bound at a low quantile keeps few enough shifts to gather.
+    N = 60
+
+    def tables(self, rng, kind, size):
+        for _ in range(3):
+            if kind == "random":
+                yield rng.random(size)
+            elif kind == "quarter-steps":
+                yield rng.integers(0, 4, size) / 4.0
+            else:
+                yield np.full(size, rng.random())
+
+    @pytest.mark.parametrize("kind", ["random", "quarter-steps", "constant"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("chunk", [None, 3 * (2 * N + 1)], ids=["one-block", "row-blocks"])
+    def test_matches_double_loop(self, rng, monkeypatch, kind, k, chunk):
+        N = self.N
+        if chunk is not None:
+            monkeypatch.setattr(px, "_GRID_CHUNK", chunk)
+        gathered = set()
+        for f in self.tables(rng, kind, 2 * k * N + 1):
+            cost, _, m, n = pair_min_oracle(f, N, k)
+            head = f[(k - 1) * N : (k + 1) * N + 1]
+            # Bounds that keep shifts on both sides of the gather/Hankel choice.
+            few, many = np.sort(head)[[px._GATHER_MAX // 2, px._GATHER_MAX + 10]]
+            for bound in (0.0, np.nextafter(cost, -np.inf), cost):
+                assert px._pair_min(f, N, k, float(bound)) is None
+            for bound in (np.nextafter(cost, np.inf), few, many, 2.0, np.inf):
+                if bound > cost:
+                    assert px._pair_min(f, N, k, float(bound)) == (cost, m, n)
+                    gathered.add(np.count_nonzero(head < bound) <= px._GATHER_MAX)
+        if k == 2 and kind != "constant":
+            assert gathered == {True, False}
+
+
 class TestRotationInfimum:
     """On a rotation every orbit distance is the initial one, so RP and RP2
     minimise max(d(x, x'), d(y, y'), d(x', y')) over the radius-r ball, which

@@ -157,6 +157,13 @@ class TestRotation:
             min(abs(a - b), 1 - abs(a - b)) < 1e-9 for a, b in zip(direct.coords, expected)
         )
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_dist_matches_reduction_over_coordinates(self, rng, dims):
+        a, b = rng.random((500, dims)), rng.random((7, 1, dims))
+        frac = (a - b) - np.floor(a - b)
+        want = np.minimum(frac, 1.0 - frac).max(axis=-1)
+        assert np.array_equal(sy.RotationSystem.dist(a, b), want)
+
     def test_dimension_mismatch_rejected(self):
         rot = sy.SystemSpec(kind="torus_rotation", dims=2)
         with pytest.raises(ValueError):
