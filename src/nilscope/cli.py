@@ -441,7 +441,7 @@ def cmd_regtest(res: _Resolver) -> int:
 
     csv_out = res.get("csv", None, str)
     if csv_out:
-        _atomic_write(csv_out, _violations_csv(report.columns))
+        _atomic_write(csv_out, _violations_csv(report.violations))
 
     summary = (
         f"order-{order} scan: {nviol} violation(s), hypothesis_count="

@@ -43,7 +43,7 @@ deliberately not an isometry of this gauge.
 
 Scalar operations work on the frozen dataclasses below; the ``*_arr``
 variants operate on (..., 3) float arrays for the scan engines, and the
-scalar ``reduce`` and ``dist`` are wrappers over them.
+scalar ``mul``, ``inv``, ``reduce`` and ``dist`` are wrappers over them.
 """
 
 from __future__ import annotations
@@ -114,13 +114,14 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group product a * b."""
-    return GroupElement(a.x + b.x, a.y + b.y, a.z + b.z + a.x * b.y)
+    """Group product a * b.  A wrapper over ``mul_arr``."""
+    return GroupElement(*mul_arr(a.as_tuple(), b.as_tuple()).tolist())
 
 
 def inv(a: GroupElement) -> GroupElement:
-    """Group inverse; mul(a, inv(a)) is the identity exactly in real arithmetic."""
-    return GroupElement(-a.x, -a.y, -a.z + a.x * a.y)
+    """Group inverse; mul(a, inv(a)) is the identity exactly in real arithmetic.
+    A wrapper over ``inv_arr``."""
+    return GroupElement(*inv_arr(a.as_tuple()).tolist())
 
 
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:

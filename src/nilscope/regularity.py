@@ -33,10 +33,9 @@ measured scan slower.  Violations stay columns from the scan to the
 report (``ViolationColumns``: base index, shifts, gap), extracted at
 once for all tuples that share their first d shifts: one flat search of
 their packed violation rows finds the nonzero bytes, in row-major order,
-and only those bytes are unpacked.  The ``Violation`` objects of
-``RegularityReport.violations`` are built lazily, on first use; the CLI
-writes its JSON and CSV reports from the columns, formatting each
-distinct value of a column once.
+and only those bytes are unpacked.  ``RegularityReport.violations`` is
+those columns; the CLI writes its JSON and CSV reports from them,
+formatting each distinct value of a column once.
 ``naive_test`` is the independent oracle: the same semantics as
 literal nested loops, which collect the same columns, so its report is
 built and read exactly as the engine's is.
@@ -44,7 +43,6 @@ built and read exactly as the engine's is.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -56,7 +54,6 @@ from .nilsequence import SequenceSample
 __all__ = [
     "RegularityParams",
     "RegularityReport",
-    "Violation",
     "ViolationColumns",
     "CalibrationResult",
     "ShiftMetricResult",
@@ -102,30 +99,6 @@ class RegularityParams:
         return max(self.M + self.order * s, (self.order + 1) * s)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One hypothesis-satisfying tuple whose conclusion fails.
-
-    ``gap`` is |u_{k + total shift} - u_k| - eps >= 0.  ``p`` is None
-    for order-1 tests.
-    """
-
-    k: int
-    m: int
-    n: int
-    p: int | None
-    gap: float
-
-    def as_tuple(self):
-        return (self.k, self.m, self.n, self.p, self.gap)
-
-    @classmethod
-    def at(cls, k: int, ns: tuple, gap: float) -> "Violation":
-        """The violation at base index k of the shift tuple ns (order + 1 shifts)."""
-        m, n, p = (*ns, None)[:3]
-        return cls(k, m, n, p, gap)
-
-
 @dataclass(frozen=True, eq=False)
 class ViolationColumns:
     """Violations as columns, in scan order: base index ``k`` (int64),
@@ -144,14 +117,13 @@ class ViolationColumns:
 class RegularityReport:
     """Scan outcome: violations plus non-vacuity accounting.
 
-    ``columns`` holds the violations; ``violations`` builds the
-    ``Violation`` objects from them on first use and caches the list.
+    ``violations`` holds the violations as columns, in scan order.
     ``hypothesis_count`` counts (k, shifts) combinations satisfying the
     hypothesis (each had its conclusion checked); ``scanned`` counts
     shift tuples examined; ``vacuous`` flags hypothesis_count == 0.
     """
 
-    columns: ViolationColumns
+    violations: ViolationColumns
     hypothesis_count: int
     scanned: int
     k_lo: int
@@ -159,25 +131,17 @@ class RegularityReport:
 
     @property
     def violation_count(self) -> int:
-        return len(self.columns)
+        return len(self.violations)
 
     @property
     def vacuous(self) -> bool:
         return self.hypothesis_count == 0
 
-    @functools.cached_property
-    def violations(self) -> list[Violation]:
-        c = self.columns
-        return [
-            Violation.at(k, ns, gap)
-            for k, ns, gap in zip(c.k.tolist(), c.shifts.tolist(), c.gap.tolist())
-        ]
-
     def to_dict(self) -> dict:
-        """The report as a dict; ``violations`` is the ``ViolationColumns``,
+        """The report as a dict; ``violations`` stays the ``ViolationColumns``,
         which ``cli`` writes as a list of {k, m, n, p, gap} objects."""
         return {
-            "violations": self.columns,
+            "violations": self.violations,
             "hypothesis_count": self.hypothesis_count,
             "scanned": self.scanned,
             "vacuous": self.vacuous,

@@ -364,10 +364,8 @@ class TestReportBytes:
         assert payload["calibrate"]["entries"] and payload["report"]["violations"].k.size
         assert cli._dump_json(payload) == reference_json(payload)
 
-    def test_out_equals_json_stdout(self, tmp_path, capsys, monkeypatch):
+    def test_out_equals_json_stdout(self, tmp_path, capsys):
         seq = bump_sequence(tmp_path / "bump.csv")
-        # The CLI writes from the columns and never builds Violation objects.
-        monkeypatch.setattr(rg.Violation, "at", None)
         rep = tmp_path / "rep.json"
         code = run(["regtest", "--input", str(seq), "--order", "2", "--eps", "0.3",
                     "--delta", "0.5", "--M", "0", "--shift-max", "1",

@@ -21,6 +21,15 @@ def random_sample(rng, N=100):
     return sample(vals)
 
 
+def assert_same_violations(fast, slow):
+    """The engine's violation columns equal the oracle's, array for array."""
+    for name, dtype in (("k", np.int64), ("shifts", np.int64), ("gap", np.float64)):
+        got, want = getattr(fast.violations, name), getattr(slow.violations, name)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -71,7 +80,7 @@ class TestOrder2:
         u = sample(np.full(201, 0.7 + 0.2j))
         params = rg.RegularityParams(order=2, eps=0.3, delta=0.01, M=5, shift_max=5)
         report = rg.run_test(u, params)
-        assert report.violations == []
+        assert report.violation_count == 0
         assert not report.vacuous
         assert report.scanned == 11**3
 
@@ -81,10 +90,10 @@ class TestOrder2:
         u = sample(np.asarray(vals), n_min=-64)
         params = rg.RegularityParams(order=2, eps=0.5, delta=0.5, M=2, shift_max=6)
         report = rg.run_test(u, params)
-        assert report.violations == []
+        assert report.violation_count == 0
         assert report.hypothesis_count > 0
         brute = rg.naive_test(u, params)
-        assert brute.violations == []
+        assert brute.violation_count == 0
         assert brute.hypothesis_count == report.hypothesis_count
 
     def test_pseudorandom_has_violations(self):
@@ -95,8 +104,7 @@ class TestOrder2:
         params = rg.RegularityParams(order=2, eps=0.2, delta=1.0, M=0, shift_max=6)
         report = rg.run_test(u, params)
         assert len(report.violations) >= 1
-        for v in report.violations:
-            assert v.gap >= 0
+        assert (report.violations.gap >= 0).all()
 
     def test_violations_subset_of_hypothesis(self, rng):
         u = random_sample(rng, 60)
@@ -123,7 +131,7 @@ class TestOrder1:
         u = sample(np.ones(101))
         params = rg.RegularityParams(order=1, eps=0.1, delta=0.1, M=2, shift_max=4)
         report = rg.run_test(u, params)
-        assert report.violations == []
+        assert report.violation_count == 0
 
 
 class TestOrderSeparation:
@@ -137,7 +145,7 @@ class TestOrderSeparation:
         assert len(rep1.violations) > 0
         p2 = rg.RegularityParams(order=2, eps=0.3, delta=0.3, M=1, shift_max=60)
         rep2 = rg.run_test(u, p2)
-        assert rep2.violations == []
+        assert rep2.violation_count == 0
         trivial = rep2.k_hi - rep2.k_lo + 1
         assert rep2.hypothesis_count > trivial
 
@@ -147,7 +155,7 @@ class TestOrderSeparation:
         assert len(rg.run_test(u, p1).violations) > 0
         p2 = rg.RegularityParams(order=2, eps=0.3, delta=0.3, M=1, shift_max=50)
         rep2 = rg.run_test(u, p2)
-        assert rep2.violations == []
+        assert rep2.violation_count == 0
         assert rep2.hypothesis_count > rep2.k_hi - rep2.k_lo + 1
 
 
@@ -178,7 +186,7 @@ class TestEngineOracleEquivalence:
         u = sample(vals, n_min=-60)
         params = rg.RegularityParams(order=1, eps=0.1, delta=0.6, M=3, shift_max=12)
         fast = self.assert_identical(u, params)
-        assert len({(v.m, v.n) for v in fast.violations}) < 25 < len(fast.violations)
+        assert len(set(map(tuple, fast.violations.shifts.tolist()))) < 25 < len(fast.violations)
 
     def test_identical_reports_dense_and_sparse_leaves(self):
         # Period 5 plus a drift of 0.01 per step on n < 0 and three spikes on
@@ -193,8 +201,8 @@ class TestEngineOracleEquivalence:
         params = rg.RegularityParams(order=1, eps=0.08, delta=0.12, M=0, shift_max=15)
         fast = self.assert_identical(u, params)
         rows = {}
-        for v in fast.violations:
-            rows.setdefault((v.m, v.n), []).append(v.k)
+        for (m, n), k in zip(fast.violations.shifts.tolist(), fast.violations.k.tolist()):
+            rows.setdefault((m, n), []).append(k)
 
         def longest_run(ks):
             starts = np.flatnonzero(np.diff(ks, prepend=ks[0] - 2) != 1)
@@ -204,47 +212,24 @@ class TestEngineOracleEquivalence:
         sparse = [ks for (m, _), ks in rows.items() if m == 15]
         assert sparse and max(map(len, sparse)) < 10
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_lazy_violations_built_once(self, order, monkeypatch):
-        gen = np.random.default_rng(20 + order)
-        u = random_sample(gen, 40)
-        params = rg.RegularityParams(order=order, eps=0.4, delta=1.2, M=1, shift_max=2)
-        # The oracle's list is built before Violation.at is counted.
-        slow = rg.naive_test(u, params).violations
-        calls = []
-        real_at = rg.Violation.at
-        monkeypatch.setattr(
-            rg.Violation, "at", lambda *a: calls.append(1) or real_at(*a)
-        )
-        fast = rg.run_test(u, params)
-        assert not calls  # the scan keeps columns only
-        assert fast.violation_count == len(slow) > 0
-        assert fast.violations == slow
-        assert len(calls) == fast.violation_count
-        assert fast.violations is fast.violations
-        assert len(calls) == fast.violation_count
-
     # eps 3 is past every |u_a - u_b| <= 2 sqrt(2), so nothing violates.
     @pytest.mark.parametrize("order, eps", [(1, 0.4), (2, 0.4), (1, 3.0), (2, 3.0)])
     def test_identical_columns(self, order, eps):
         gen = np.random.default_rng(30 + order)
         u = random_sample(gen, 40)
         params = rg.RegularityParams(order=order, eps=eps, delta=1.2, M=1, shift_max=2)
-        fast = rg.run_test(u, params).columns
-        slow = rg.naive_test(u, params).columns
-        assert (len(fast) > 0) == (eps < 3)
-        assert fast.shifts.shape == (len(fast), order + 1)
-        for name, dtype in (("k", np.int64), ("shifts", np.int64), ("gap", np.float64)):
-            got, want = getattr(fast, name), getattr(slow, name)
-            assert got.dtype == want.dtype == dtype
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+        fast, slow = rg.run_test(u, params), rg.naive_test(u, params)
+        for rep in (fast, slow):
+            assert len(rep.violations) == rep.violation_count
+        assert (len(fast.violations) > 0) == (eps < 3)
+        assert fast.violations.shifts.shape == (len(fast.violations), order + 1)
+        assert_same_violations(fast, slow)
 
     @staticmethod
     def assert_identical(u, params):
         fast = rg.run_test(u, params)
         slow = rg.naive_test(u, params)
-        assert [v.as_tuple() for v in fast.violations] == [v.as_tuple() for v in slow.violations]
+        assert_same_violations(fast, slow)
         assert fast.hypothesis_count == slow.hypothesis_count
         assert fast.scanned == slow.scanned
         assert (fast.k_lo, fast.k_hi) == (slow.k_lo, slow.k_hi)
@@ -326,7 +311,7 @@ class TestScanKernels:
         fast = rg.run_test(u, params)
         slow = rg.naive_test(u, params)
         assert fast.k_hi - fast.k_lo + 1 == width
-        assert [v.as_tuple() for v in fast.violations] == [v.as_tuple() for v in slow.violations]
+        assert_same_violations(fast, slow)
         assert fast.hypothesis_count == slow.hypothesis_count
 
 
@@ -362,8 +347,8 @@ class TestInvariants:
         params = rg.RegularityParams(order=2, eps=0.25, delta=1.1, M=0, shift_max=3)
         report = rg.run_test(u, params)
         by_tuple = {}
-        for v in report.violations:
-            by_tuple.setdefault((v.m, v.n, v.p), set()).add(v.k)
+        for (m, n, p), k in zip(report.violations.shifts.tolist(), report.violations.k.tolist()):
+            by_tuple.setdefault((m, n, p), set()).add(k)
         for (m, n, p), ks in by_tuple.items():
             for perm in ((n, m, p), (p, n, m), (m, p, n)):
                 assert by_tuple.get(perm, set()) == ks
@@ -372,7 +357,7 @@ class TestInvariants:
         u = random_sample(rng, 50)
         params = rg.RegularityParams(order=2, eps=1e-9, delta=2.5, M=0, shift_max=2)
         report = rg.run_test(u, params)
-        assert all((v.m, v.n, v.p) != (0, 0, 0) for v in report.violations)
+        assert report.violations.shifts.any(axis=1).all()
 
 
 class TestCalibrate:
@@ -384,7 +369,7 @@ class TestCalibrate:
         # then larger delta.
         assert cal.M == 5
         assert cal.delta == 0.05
-        assert cal.report.violations == []
+        assert cal.report.violation_count == 0
 
     def test_pseudorandom_has_no_clean_pair(self):
         gen = np.random.default_rng(7)
@@ -421,8 +406,7 @@ class TestCalibrate:
         got = cal.report
         assert (got.hypothesis_count, got.scanned, got.k_lo, got.k_hi) == (
             chosen.hypothesis_count, chosen.scanned, chosen.k_lo, chosen.k_hi)
-        for name in ("k", "shifts", "gap"):
-            assert np.array_equal(getattr(got.columns, name), getattr(chosen.columns, name))
+        assert_same_violations(got, chosen)
 
     def test_grid_points_go_through_run_test(self, monkeypatch):
         tables = []
