@@ -14,13 +14,22 @@ Subcommands:
 Exit codes compose in shell pipelines: 0 = pass/clean, 1 = finding
 (violations, non-membership, failed precondition), 2 = usage or
 validation error.  Validation always happens before any output is
-touched, outputs are written atomically (temp file + rename), and
-written reports contain no timing fields, so identical configurations
-produce byte-identical outputs regardless of worker count.  The one
+touched, outputs are written atomically (below), and written reports
+contain no timing fields, so identical configurations produce
+byte-identical outputs regardless of worker count.  The one
 exception is the proximality searches' ``time_cap_ms``, a wall-clock
 deadline: a search that it cuts short reports ``exhausted: false``, and
 its record depends on how far the scan got in time.
 
+An output goes to a temp file beside it, ``<out>.<pid>.tmp``, created
+with mode 0o600 only if that name is free (never through a symlink),
+and is then renamed over ``<out>``; when the name is taken, a
+``tempfile.mkstemp`` name takes its place.  A missing directory of
+``<out>`` is made first.
+
+``main`` hands the flags after a subcommand's name to that subcommand's
+parser alone; anything else, and any flag that parser leaves over, goes
+to the full parser, so help, messages and exit codes are its own.
 A config file (``--config``, ``key = value`` lines, ``#`` comments)
 supplies defaults; explicit flags win.  ``main`` reads it once, into the
 one ``_Resolver`` that every command is handed.  Every command runs
@@ -33,13 +42,13 @@ or a flag, goes through ``_point``, which accepts only numbers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import os
 import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -61,20 +70,40 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# A report's temp file is always a new file: never one already there,
+# never the target of a symlink.
+_TMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+              | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_CLOEXEC", 0))
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:  # a write may take only part of what it is given
+        view = view[os.write(fd, view) :]
+
+
 def _atomic_write(path: str, chunks) -> None:
-    """Write the strings of ``chunks`` to path, in order, through a temp file and a rename."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    """Write the strings of ``chunks`` to path as UTF-8, in order, through
+    ``<path>.<pid>.tmp`` and a rename (module docs)."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, target)
-    except BaseException:
+        fd = os.open(tmp, _TMP_FLAGS, 0o600)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fd = os.open(tmp, _TMP_FLAGS, 0o600)
+    except FileExistsError:
+        head, tail = os.path.split(path)
+        fd, tmp = tempfile.mkstemp(dir=head or ".", prefix=tail, suffix=".tmp")
+    try:
         try:
+            for chunk in chunks:
+                _write_all(fd, chunk.encode())
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -169,7 +198,8 @@ def _dump_json(obj) -> str:
 
 def _read_text(path: str, field: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"{field}: cannot read {path}: {exc}") from None
 
@@ -288,10 +318,8 @@ def _load_points_file(path: str, expected: int):
 
 
 def _check_points(spec: SystemSpec, points, field: str) -> None:
-    system = systems.system_for(spec)
     try:
-        for p in points:
-            system.row(p, field)
+        systems.system_for(spec).rows(points, [field] * len(points))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -480,15 +508,16 @@ def _cube_job(res: _Resolver, count: int):
     points = _load_points_file(res.require("input", str), count)
     spec = _system_from(res)
     _check_points(spec, points, "input")
-    horizon = res.get("horizon", cubes.DEFAULT_HORIZON, int)
-    if horizon < 1:
-        raise UsageError("horizon: must be >= 1")
+    horizon = res.get("horizon", cubes.DEFAULT_HORIZON, int)  # the search checks it
     return spec, points, horizon, res.get("resid_tol", cubes.DEFAULT_RESID_TOL, float)
 
 
 def cmd_pped_test(res: _Resolver) -> int:
     spec, points, horizon, resid_tol = _cube_job(res, 8)
-    witness = cubes.pped_search(spec, cubes.Oct(*points), horizon, resid_tol)
+    try:  # the search checks the horizon before any work
+        witness = cubes.pped_search(spec, cubes.Oct(*points), horizon, resid_tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     below = witness.residual < resid_tol
     payload = {
         "command": "pped-test",
@@ -525,6 +554,8 @@ def cmd_pped_complete(res: _Resolver) -> int:
         _emit(payload, res, f"rejected: face {exc.face_name} {exc.vertex_ids} "
               f"residual {exc.residual:.3e} >= {exc.tol:.1e}")
         return EXIT_FINDING
+    except ValueError as exc:  # the horizon, checked before the faces
+        raise UsageError(str(exc)) from None
     payload = {
         "command": "pped-complete",
         "x7": list(result.x7.as_tuple()),
@@ -690,12 +721,25 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(s)
         s.set_defaults(func=functools.partial(_cmd_prox, which=which))
 
+    parser.commands = sub.choices  # name -> subparser, for main's direct dispatch
     return parser
+
+
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, in one pass when argv[0] names a subcommand (module docs)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     try:
         res = _Resolver(args)
         if getattr(args, "out_required", False) and res.get("out", None, str) is None:

@@ -37,20 +37,22 @@ lie under any cell below it, and an axis left empty ends the scan
 before any block is formed.  The early exit takes resid_tol as the
 bound; the argmin takes the next float above U, the best objective over
 each axis's 12 smallest lookups, which keeps every cell tied at the
-minimum.  The kept sub-grid is scanned in blocks of about 2**21 cells,
-on one thread.  The tie-break takes, in each block, the first
-qualifying cell of the smallest shell; a block's axes ascend, so its
-cells are in lexicographic order and no cell is sorted.  The early exit
-feeds m to the blocks in order of |m|, and stops once every m left lies
-beyond the best shell.
+minimum.  A kept sub-grid of one cell, as a member octuple leaves at
+resid_tol, is read by scalar lookups; a larger one is scanned in blocks
+of about 2**21 cells, on one thread.  The tie-break takes, in each
+block, the first qualifying cell of the smallest shell; a block's axes
+ascend, so its cells are in lexicographic order and no cell is sorted.
+The early exit feeds m to the blocks in order of |m|, and stops once
+every m left lies beyond the best shell.
 
 A table entry holds a floor, the kind's bit-exact lower bound on the
 distance (on X the circle distance of the factor coordinates), until a
 query's bound lies above it and it is filled: below resid_tol for the
 early exit; for U each single-axis table and the seed grid's entries;
-below twice the residual for the spread.  A cell that reads a floor is
-at or above the bound, so every query keeps the cells that exact tables
-would.  The argmin scan reads floors below its bound too; floors only
+below twice the residual for the spread (none left to fill when that
+is at most resid_tol).  A cell that reads a floor is at or above the
+bound, so every query keeps the cells that exact tables would.  The
+argmin scan reads floors below its bound too; floors only
 under-estimate, so a winner that reads none is the exact argmin, and
 otherwise the entries below the bound are filled and the scan repeated.
 
@@ -218,6 +220,12 @@ def sample_pped(spec: SystemSpec, base, m: int, n: int, p: int) -> Oct:
 # ---------------------------------------------------------------------------
 
 
+def _pgram_residuals(coords: np.ndarray) -> np.ndarray:
+    """The parallelogram residual of each quadruple of a (..., 4, ndim) coordinate array."""
+    f = System.factor(coords)
+    return RotationSystem.dist(f[..., 0, :] - f[..., 2, :], f[..., 1, :] - f[..., 3, :])
+
+
 def pgram_residual(q: Quad) -> float:
     """Torus distance of pi(v0) - pi(v1) - pi(v2) + pi(v3) from zero.
 
@@ -226,9 +234,9 @@ def pgram_residual(q: Quad) -> float:
     evaluated as (v0 - v2) - (v1 - v3) so the diagonal and (a, b, a, b)
     patterns cancel exactly in float arithmetic.  The factor of every
     system here is a rotation, so the distance is the torus sup metric.
+    A wrapper over the face kernel ``_pgram_residuals``.
     """
-    f0, f1, f2, f3 = System.factor(np.array([v.as_tuple() for v in q.vertices], dtype=np.float64))
-    return float(RotationSystem.dist(f0 - f2, f1 - f3))
+    return float(_pgram_residuals(np.array([v.as_tuple() for v in q.vertices], dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +331,39 @@ def euclid_perm_oct(o: Oct, perm_id: int) -> Oct:
 class _Tables(dict):
     """Tables {v: (offset, D)}, each D a row of one (vertex, shift) array of floors.
 
+    One orbit of v0 over [-3H, 3H] serves the tables and ``advance``.
     An entry is exact once filled (see module docs); each fill is one call.
-    The entries whose floor is below ``bound`` are filled at once.
+    The entries whose floor is below ``bound`` are filled at once, and
+    ``below`` is the largest bound filled under so far.
     """
 
     def __init__(self, system: System, base, targets: dict, horizon: int, bound=np.inf):
         shifts = vertex_shifts((horizon,) * 3)
         offs = [shifts[v] for v in targets]
-        self.top, self.dist = max(offs), system.dist
-        span = np.arange(-self.top, self.top + 1)
-        self.orbit = system.orbit(system.row(base, "v0"), span)
-        self.rows = np.array([system.row(t, f"v{v}") for v, t in targets.items()])
+        self.top, self.dist, self.reach = max(offs), system.dist, 3 * horizon
+        span = np.arange(-self.reach, self.reach + 1)
+        cols = slice(self.reach - self.top, self.reach + self.top + 1)  # the shifts |s| <= top
+        self.whole = system.orbit(system.row(base, "v0"), span)
+        self.orbit = self.whole[cols]
+        self.rows = system.rows(targets.values(), [f"v{v}" for v in targets])
         self.D = system.floor(self.orbit, self.rows[:, None])
         # Entries still at their floor; a torus floor is its distance.
-        self.todo = (np.abs(span) <= np.array(offs)[:, None]) & (system.floor is not system.dist)
+        band = np.abs(span[cols]) <= np.array(offs)[:, None]
+        self.todo = band & (system.floor is not system.dist)
         super().__init__((v, (off, self.D[i, self.top - off : self.top + off + 1]))
                          for i, (v, off) in enumerate(zip(targets, offs)))
-        self.fill(self.D < bound)
+        self.below = -np.inf
+        self.fill_below(bound)
+
+    def fill_below(self, bound: float):
+        """Make exact every entry whose floor is below bound: none is left once bound <= below."""
+        if bound > self.below:
+            self.fill(self.D < bound)
+            self.below = bound
+
+    def advance(self, shifts):
+        """Coordinates of T^s v0 for each shift s, |s| <= 3H (rows of the one orbit)."""
+        return self.whole[self.reach + shifts]
 
     def fill(self, where):
         """Make exact, in one distance call, the entries of a (vertex, shift) mask."""
@@ -410,6 +434,15 @@ def _cube_blocks(tables, kept, sort: bool = False):
         yield grids, obj if obj.shape == shape else np.broadcast_to(obj, shape)
 
 
+def _lone_cell(tables, kept):
+    """(objective, ns) by scalar lookups when the kept grid is one cell, else None."""
+    if kept is None or any(len(a) != 1 for a in kept):
+        return None
+    cell = tuple(int(a[0]) for a in kept)
+    shifts = vertex_shifts(cell)
+    return float(max(D[shifts[v] + off] for v, (off, D) in tables.items())), cell
+
+
 def _cube_min(tables, axes, bound: float = np.inf, first: bool = False):
     """Best cell of the grid axes[0] x ... x axes[k-1] with objective below bound.
 
@@ -420,6 +453,9 @@ def _cube_min(tables, axes, bound: float = np.inf, first: bool = False):
     first qualifying cell on the smallest shell, and nothing is sorted.
     """
     kept = _prune_axes(tables, axes, bound)
+    lone = _lone_cell(tables, kept)
+    if lone is not None:
+        return lone if lone[0] < bound else None
     if first and kept is not None:
         kept[0] = kept[0][np.argsort(np.abs(kept[0]), kind="stable")]
     best, best_key, seen = None, None, 0
@@ -451,6 +487,9 @@ def _cells_below(tables, horizon: int, threshold: float, cap: int):
         return []
     if len(kept[0]) * len(kept[1]) > 4 * cap:
         return None
+    lone = _lone_cell(tables, kept)
+    if lone is not None:
+        return [lone[1]] if lone[0] < threshold else []
     cells = []
     for grids, obj in _cube_blocks(tables, kept):
         idx = np.nonzero(obj < threshold)
@@ -460,10 +499,13 @@ def _cells_below(tables, horizon: int, threshold: float, cap: int):
     return cells
 
 
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError("horizon: must be >= 1")
+
+
 def _search(system, base, targets, horizon, resid_tol):
     """Shared search core (see module docs); returns (residual, (m, n, p), early_exit, tables)."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     tables = _Tables(system, base, targets, horizon, resid_tol)
     span = np.arange(-horizon, horizon + 1)
     hit = _cube_min(tables, [span] * 3, resid_tol, first=True)
@@ -482,7 +524,7 @@ def _search(system, base, targets, horizon, resid_tol):
     bound = np.nextafter(_cube_min(tables, seed)[0], np.inf)
     best = _cube_min(tables, [span] * 3, bound)
     if not tables.exact_at(best[1]):
-        tables.fill(tables.D < bound)
+        tables.fill_below(bound)
         best = _cube_min(tables, [span] * 3, bound)
     return *best, False, tables
 
@@ -500,9 +542,14 @@ def pped_search(
     vertices of o.  Early-exits at the first shell-order witness below
     resid_tol.
     """
+    _check_horizon(horizon)
     targets = {v: o.vertices[v] for v in range(1, 8)}
     residual, mnp, early, _ = _search(system_for(spec), o.v0, targets, horizon, resid_tol)
     return PpedWitness(residual, mnp[0], mnp[1], mnp[2], early)
+
+
+#: Vertex ids of the completion faces, one row per face.
+_COMPLETION_IDS = np.array([ids for _, ids in COMPLETION_FACES])
 
 
 def pped_complete(
@@ -520,29 +567,29 @@ def pped_complete(
     T^{m+n+p} v0 for the witness minimizing the max mismatch on
     vertices 0..6.
     """
+    _check_horizon(horizon)
     seven = tuple(seven)
     if len(seven) != 7:
         raise ValueError(f"need exactly 7 vertices, got {len(seven)}")
-    for name, ids in COMPLETION_FACES:
-        quad = Quad(*(seven[i] for i in ids))
-        r = pgram_residual(quad)
+    coords = np.array([p.as_tuple() for p in seven], dtype=np.float64)
+    faces = _pgram_residuals(coords[_COMPLETION_IDS]).tolist()
+    for (name, ids), r in zip(COMPLETION_FACES, faces):
         if not r < face_tol:
             raise FacePreconditionError(name, ids, r, face_tol)
 
     targets = {v: seven[v] for v in range(1, 7)}
     system = system_for(spec)
     residual, mnp, _, tables = _search(system, seven[0], targets, horizon, resid_tol)
-    base = system.row(seven[0])
-    x7 = system.orbit(base, sum(mnp))
+    x7 = tables.advance(sum(mnp))
 
     # Uniqueness diagnostic: completions from all witnesses within twice
     # the best residual; None when they are too many to enumerate.
     threshold = max(2.0 * residual, 1e-12)
-    tables.fill(tables.D < threshold)
+    tables.fill_below(threshold)
     near = _cells_below(tables, horizon, threshold, cap=4096)
     spread = None
     if near is not None:
-        alts = system.orbit(base, np.array([sum(cand) for cand in near], dtype=np.int64))
+        alts = tables.advance(np.array([sum(cand) for cand in near], dtype=np.int64))
         spread = float(system.dist(x7, alts).max(initial=0.0))
 
     status = "ok" if residual < resid_tol else "inconclusive"

@@ -239,12 +239,19 @@ def dist_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def floor_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """max(min_a |ux_a|, min_b |uy_b|), which every gauge candidate is at least."""
+    """max(min_a |ux_a|, min_b |uy_b|), which every gauge candidate is at least.
+
+    The minima run over the gauge's own lifts {0, s} (module docs), in its
+    float operations, so each is the gauge's bit for bit.
+    """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     out = []
     for c in (0, 1):
-        lift = [np.abs(p[..., c] + (-(q[..., c] + a))) for a in (-1.0, 0.0, 1.0)]
-        out.append(np.minimum(np.minimum(lift[0], lift[1], out=lift[0]), lift[2], out=lift[0]))
+        pc, qc = p[..., c], q[..., c]
+        d = pc - qc
+        u = np.copysign(1.0, d)
+        u += qc  # the lift q + s
+        np.abs(np.subtract(pc, u, out=u), out=u)
+        out.append(np.minimum(np.abs(d, out=d), u, out=u))
     return np.maximum(out[0], out[1], out=out[0])
-

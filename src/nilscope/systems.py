@@ -26,8 +26,9 @@ and the proximality perturbations are ``translate(offsets, coords)``),
 lower bound on it (``dist`` itself on tori), ``factor`` gives the maximal
 equicontinuous factor, ``ball`` moves a cube onto the distance ball of
 the same radius, ``character`` evaluates e(k1 x + k2 y) on the factor,
-and ``row``/``point`` convert points.  ``row`` is the one check of a
-point: its type and its coordinate count must match the kind.  A single
+and ``row``/``rows``/``point`` convert points.  ``row`` (``rows`` for
+several at once) is the one check of a point: its type and its
+coordinate count must match the kind.  A single
 point moves by ``advance(p, n)``, which is ``orbit`` on its row, so
 scalar and array forms agree bit for bit.
 
@@ -176,9 +177,17 @@ class System:
 
     def row(self, p, name: str = "point") -> np.ndarray:
         """Coordinates of a point of this kind and dimension; ValueError naming it otherwise."""
-        if not (isinstance(p, self.point_type) and len(p.as_tuple()) == self.ndim):
+        return np.array(self._coords(p, name), dtype=np.float64)
+
+    def rows(self, points, names) -> np.ndarray:
+        """``row`` of each point, names[i] naming points[i], as one (len, ndim) array."""
+        return np.array([self._coords(p, name) for p, name in zip(points, names)], dtype=np.float64)
+
+    def _coords(self, p, name: str) -> tuple:
+        coords = p.as_tuple() if isinstance(p, self.point_type) else ()
+        if len(coords) != self.ndim:
             raise ValueError(f"{name}: a {self.kind} system needs {self.ndim}-coordinate points")
-        return np.array(p.as_tuple(), dtype=np.float64)
+        return coords
 
     def advance(self, p, n: int):
         """T^n p as a point."""
@@ -213,10 +222,8 @@ class HeisenbergSystem(System):
         """Closed-form t^n for an array of integers n; shape ns.shape + (3,)."""
         spec = self.spec
         ns = np.asarray(ns, dtype=np.float64)
-        out = np.empty(ns.shape + (3,), dtype=np.float64)
-        out[..., 0] = ns * spec.alpha
-        out[..., 1] = ns * spec.beta
-        out[..., 2] = ns * spec.gamma0 + ns * (ns - 1.0) / 2.0 * (spec.alpha * spec.beta)
+        out = ns[..., None] * np.array((spec.alpha, spec.beta, spec.gamma0))
+        out[..., 2] += ns * (ns - 1.0) / 2.0 * (spec.alpha * spec.beta)
         return out
 
     @staticmethod

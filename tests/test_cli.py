@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -546,6 +548,19 @@ class TestCubeCommands:
         assert payload["error"] == "face_precondition"
         assert payload["face"] in ("axis1-low", "axis2-low", "axis3-low")
 
+    @pytest.mark.parametrize("command, count", [("pped-test", 8), ("pped-complete", 7)])
+    def test_zero_horizon_is_usage_error_before_the_faces(self, tmp_path, oct_fixture, capsys,
+                                                          command, count):
+        _, o = oct_fixture
+        verts = list(o.vertices[:count])
+        verts[2] = h.NilPoint((verts[2].x + 0.3) % 1.0, verts[2].y, verts[2].z)
+        path = tmp_path / "points.json"
+        write_points(path, verts)
+        out = tmp_path / "out.json"
+        assert run([command, "--input", str(path), "--horizon", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: horizon: must be >= 1\n"
+        assert not out.exists()
+
     def test_points_of_another_kind_are_usage_error(self, tmp_path, capsys):
         path = tmp_path / "oct.json"
         write_points(path, [sy.TorusPoint((0.1 * k, 0.5)) for k in range(8)])
@@ -695,6 +710,98 @@ class TestParser:
         assert code == 0
         assert json.loads(out.read_text())["eps_achieved"] < 1e-12
         assert len(built) == 2 and built[0] is built[1]
+
+
+class TestDispatch:
+    """main reads a subcommand's flags with its own parser, as the full parser would."""
+
+    ARGVS = [
+        ["generate", "--observable", "torus-character", "--n", "10", "--k1", "2", "--out", "s.csv"],
+        ["regtest", "--input", "s.csv", "--order", "2", "--eps", "0.3", "--delta", "0.1",
+         "--M", "3", "--calibrate", "--M-grid", "1,2", "--json"],
+        ["pgram-test", "--input", "q.json", "--tol", "1e-6"],
+        ["pped-test", "--input", "o.json", "--horizon", "5", "--resid-tol", "0.1",
+         "--system", "torus-rotation", "--dims", "1"],
+        ["pped-complete", "--input", "s.json", "--horizon", "60", "--face-tol=1e-5",
+         "--workers", "2", "--out", "c.json"],
+        ["pped-complete"],
+        ["rp-search", "--x", "0.1,0.2,0.3", "--y", "0.1,0.2,0.4", "--n-max", "20", "--seed", "3"],
+        ["rp2-search", "--input", "pair.json", "--config", "c.cfg"],
+        ["rpds-search", "--x", "0.1,0.2", "--y", "0.3,0.4", "--system", "torus-rotation"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv))
+    def test_direct_dispatch_gives_the_full_parsers_namespace(self, argv):
+        parser = cli.build_parser()
+        args = cli._parse(parser, argv)
+        assert args == parser.parse_args(argv)
+        assert args.command == argv[0] and callable(args.func)
+
+    def test_every_subcommand_is_in_the_table(self):
+        assert {argv[0] for argv in self.ARGVS} == set(cli.build_parser().commands)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["pped-test", "-h"], 0), ([], 2), (["bogus"], 2),
+        (["rp-search", "--bogus"], 2), (["pped-test", "--horizon", "x"], 2),
+        (["pped-complete", "extra"], 2), (["generate", "--n", "3"], 2),
+    ], ids=lambda arg: (" ".join(arg) or "no-command") if isinstance(arg, list) else None)
+    def test_help_and_errors_are_the_full_parsers(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as want:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            cli.main(argv)
+        assert got.value.code == want.value.code == code
+        assert capsys.readouterr() == expected
+
+
+class TestAtomicWrite:
+    """Reports go out through <out>.<pid>.tmp and a rename."""
+
+    PAYLOAD = {"command": "pped-test", "residual": 1.5e-17, "witness": {"m": 1, "n": -2, "p": 3},
+               "points": [[0.1, 0.2, 0.3]], "spread": None, "below_tol": True}
+
+    def test_report_is_the_dump_and_no_temp_is_left(self, tmp_path):
+        out = tmp_path / "r.json"
+        cli._atomic_write(str(out), cli._json_chunks(self.PAYLOAD))
+        assert out.read_bytes() == cli._dump_json(self.PAYLOAD).encode()
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_report_mode_is_owner_only(self, tmp_path):
+        out = tmp_path / "r.json"
+        cli._atomic_write(str(out), ["x\n"])
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+    def test_a_chunk_that_raises_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "{\n"
+            raise RuntimeError("midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            cli._atomic_write(str(tmp_path / "r.json"), chunks())
+        assert os.listdir(tmp_path) == []
+
+    def test_a_missing_parent_is_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "r.json"
+        cli._atomic_write(str(out), ["x\n"])
+        assert out.read_text() == "x\n"
+        assert os.listdir(out.parent) == ["r.json"]
+
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_a_taken_temp_name_is_neither_followed_nor_truncated(self, tmp_path, kind):
+        out = tmp_path / "r.json"
+        taken = tmp_path / f"r.json.{os.getpid()}.tmp"
+        victim = tmp_path / "victim"
+        victim.write_text("keep")
+        if kind == "file":
+            taken.write_text("keep")
+        else:
+            taken.symlink_to(victim)
+        cli._atomic_write(str(out), ["report\n"])
+        assert out.read_text() == "report\n"
+        assert victim.read_text() == "keep"
+        assert taken.is_symlink() if kind == "symlink" else taken.read_text() == "keep"
+        assert sorted(os.listdir(tmp_path)) == sorted(["r.json", taken.name, "victim"])
 
 
 class TestDeterminism:

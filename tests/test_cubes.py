@@ -587,6 +587,14 @@ class TestCompletion:
         assert err.value.face_name == "axis1-low"
         assert err.value.vertex_ids == (0, 1, 2, 3)
 
+    def test_horizon_is_checked_before_the_faces(self, spec, rng):
+        o = cb.sample_pped(spec, random_point(rng), 3, 5, 7)
+        seven = list(o.vertices[:7])
+        seven[1] = h.NilPoint((seven[1].x + 0.25) % 1.0, seven[1].y, seven[1].z)
+        with pytest.raises(ValueError, match="^horizon: must be >= 1$") as err:
+            cb.pped_complete(spec, seven, horizon=0)
+        assert not isinstance(err.value, cb.FacePreconditionError)
+
     def test_spread_and_near_witness_consistency(self, spec, rng):
         # Witnesses within 2x of the best residual complete to nearby
         # eighth vertices (strong parallelepiped structure).
