@@ -376,24 +376,23 @@ def _emit(payload: dict, res: _Resolver, summary: str) -> None:
 
 def cmd_generate(res: _Resolver) -> int:
     observable = res.require("observable", str).replace("-", "_")
-    N = res.get("n", 1000, int)
-    if N < 1:
-        raise UsageError("n: must be >= 1")
+    N = res.get("n", 1000, int)  # nilsequence checks it
     out = res.require("out", str)
     spec = _system_from(res)
 
-    if observable == "quadratic_phase":
-        sample = nilsequence.quadratic_phase(spec.alpha, N)
-    else:
-        base = _point_flag(res, "base")
-        if base is not None and not isinstance(base, NilPoint):
-            raise UsageError("base: need 3 coordinates")
-        given = {} if base is None else {"base": base}
-        obs = _spec(nilsequence.ObservableSpec, res, "observable", kind=observable, **given)
-        try:
+    try:
+        if observable == "quadratic_phase":
+            sample = nilsequence.quadratic_phase(spec.alpha, N)
+        else:
+            base = _point_flag(res, "base")
+            if base is not None and not isinstance(base, NilPoint):
+                raise UsageError("base: need 3 coordinates")
+            given = {} if base is None else {"base": base}
+            obs = _spec(nilsequence.ObservableSpec, res, "observable", kind=observable, **given)
             sample = nilsequence.generate(spec, obs, N)
-        except ValueError as exc:
-            raise UsageError(f"observable: {exc}") from None
+    except ValueError as exc:  # the n check names its field; the rest is the observable's
+        text = str(exc)
+        raise UsageError(text if text.startswith("n: ") else f"observable: {text}") from None
 
     # regtest picks its parser by the same suffix rule.
     text = sample.to_json() if out.endswith(".json") else sample.to_csv()

@@ -59,7 +59,6 @@ __all__ = [
     "IDENTITY",
     "mul",
     "inv",
-    "commutator",
     "reduce",
     "dist",
     "sym_norm",
@@ -122,15 +121,6 @@ def inv(a: GroupElement) -> GroupElement:
     """Group inverse; mul(a, inv(a)) is the identity exactly in real arithmetic.
     A wrapper over ``inv_arr``."""
     return GroupElement(*inv_arr(a.as_tuple()).tolist())
-
-
-def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Commutator a b a^-1 b^-1, always central.
-
-    Evaluated in closed form so the abelianized coordinates are exactly
-    zero regardless of rounding in the inputs.
-    """
-    return GroupElement(0.0, 0.0, a.x * b.y - a.y * b.x)
 
 
 def reduce(g: GroupElement) -> NilPoint:

@@ -47,7 +47,6 @@ __all__ = [
     "ObservableSpec",
     "SequenceSample",
     "eval_observable",
-    "eval_observable_raw",
     "observable_bound",
     "generate",
     "quadratic_phase",
@@ -102,11 +101,6 @@ class SequenceSample:
     @property
     def indices(self) -> np.ndarray:
         return self.n_min + np.arange(len(self.values), dtype=np.int64)
-
-    def value_at(self, n: int) -> complex:
-        if not self.n_min <= n <= self.n_max:
-            raise IndexError(f"index {n} outside window [{self.n_min}, {self.n_max}]")
-        return complex(self.values[n - self.n_min])
 
     # -- serialization ------------------------------------------------
 
@@ -207,8 +201,8 @@ def _theta_arr(obs: ObservableSpec, coords: np.ndarray) -> np.ndarray:
 
 
 def _eval_arr(obs: ObservableSpec, coords: np.ndarray) -> np.ndarray:
-    """Observable values on an (N, 3) array of nil coordinates: canonical ones, or
-    global group coordinates for the characters and theta of ``eval_observable_raw``."""
+    """Observable values on an (N, 3) array of nil coordinates: canonical ones, or, for
+    the characters and theta, global group coordinates, which are not reduced first."""
     if obs.kind == "distance_to_base":
         return dist_arr(coords, np.array(obs.base.as_tuple())).astype(np.complex128)
     if obs.kind == "torus_character":
@@ -224,19 +218,6 @@ def eval_observable(obs: ObservableSpec, p) -> complex:
             raise ValueError(f"{obs.kind} needs a NilPoint")
         return complex(RotationSystem.character(coords, obs.k1, obs.k2))
     return complex(_eval_arr(obs, coords[None])[0])
-
-
-def eval_observable_raw(obs: ObservableSpec, g) -> complex:
-    """Observable value at global group coordinates, without reduction.
-
-    Used to measure how well the observable descends to the quotient:
-    for vertical_theta the lattice invariance holds only up to the
-    theta truncation error, which this evaluation exposes (the reduced
-    evaluation is exactly coset-invariant by construction).
-    """
-    if obs.kind == "distance_to_base":
-        raise ValueError(f"{obs.kind} has no raw group-level evaluation")
-    return complex(_eval_arr(obs, np.array([g.as_tuple()]))[0])
 
 
 def observable_bound(obs: ObservableSpec) -> float:
@@ -255,12 +236,18 @@ def observable_bound(obs: ObservableSpec) -> float:
     return float(mags.max()) + 1e-9
 
 
+def _window(N: int) -> np.ndarray:
+    """The indices -N..N of a generated sample; checked before any other input."""
+    if N < 1:
+        raise ValueError("n: must be >= 1")
+    return np.arange(-N, N + 1)
+
+
 def generate(spec: SystemSpec, obs: ObservableSpec, N: int) -> SequenceSample:
     """The sequence u_n = f(T^n e) on the window n in [-N, N]."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    ns = _window(N)
     system = system_for(spec)
-    coords = system.orbit(np.zeros(system.ndim), np.arange(-N, N + 1))
+    coords = system.orbit(np.zeros(system.ndim), ns)
     if obs.kind == "torus_character":
         values = system.character(coords, obs.k1, obs.k2)
     elif system.central:
@@ -288,9 +275,7 @@ def generate(spec: SystemSpec, obs: ObservableSpec, N: int) -> SequenceSample:
 
 def quadratic_phase(alpha: float, N: int) -> SequenceSample:
     """The sequence exp(2*pi*i*n^2*alpha) on [-N, N]."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    ns = np.arange(-N, N + 1, dtype=np.float64)
+    ns = _window(N).astype(np.float64)
     phase = (ns * ns) * alpha
     phase -= np.floor(phase)
     values = np.exp(1j * _TWO_PI * phase)

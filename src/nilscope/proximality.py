@@ -161,14 +161,11 @@ def _offsets(system: System, budget: SearchBudget, seed: int) -> np.ndarray:
 
 
 def _pair_order(bx: np.ndarray, by: np.ndarray):
-    """(i, j) pairs sorted by max(bx[i], by[j]) with deterministic ties."""
-    K = len(bx)
-    ii, jj = np.meshgrid(np.arange(K), np.arange(K), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    base = np.maximum(bx[ii], by[jj])
-    order = np.lexsort((jj, ii, base))
-    return ii[order], jj[order], base[order]
+    """(i, j) pairs sorted by max(bx[i], by[j]), ties in (i, j) order."""
+    base = np.maximum(bx[:, None], by[None]).ravel()
+    order = np.argsort(base, kind="stable")  # flat index i * len(by) + j breaks ties
+    ii, jj = np.divmod(order, len(by))
+    return ii, jj, base[order]
 
 
 def _pair_min(f: np.ndarray, n_max: int, k: int, bound: float = np.inf):
@@ -301,13 +298,12 @@ def _search(spec: SystemSpec, x, y, budget: SearchBudget, seed: int, relation: s
     """
     system = system_for(spec)
     offsets = _offsets(system, budget, seed)
-    xp = system.translate(offsets, system.row(x, "x"))
-    yp = system.translate(offsets, system.row(y, "y"))
+    rows = system.rows((x, y), ("x", "y"))
+    xp, yp = system.translate(offsets, rows[:, None])
     N, k = budget.n_max, _AXES[relation]
     span = np.arange(-k * N, k * N + 1)
     if relation == "RPDS":
-        y_row = system.row(y)
-        table, cost = (lambda p: system.dist(system.orbit(p, span), y_row)), np.maximum
+        table, cost = (lambda p: system.dist(system.orbit(p, span), rows[1])), np.maximum
     else:
         table, cost = (lambda p: system.orbit(p, span)), system.dist
     table_x = functools.cache(lambda i: table(xp[i]))

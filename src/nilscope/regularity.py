@@ -56,11 +56,9 @@ __all__ = [
     "RegularityReport",
     "ViolationColumns",
     "CalibrationResult",
-    "ShiftMetricResult",
     "run_test",
     "naive_test",
     "calibrate",
-    "shift_metric",
 ]
 
 
@@ -372,31 +370,3 @@ def calibrate(
             if best is None or key > best[0]:
                 best = (key, M, delta, report)
     return CalibrationResult(M=best[1], delta=best[2], report=best[3], entries=entries)
-
-
-@dataclass(frozen=True)
-class ShiftMetricResult:
-    """Truncated orbit metric between two sequences, with its truncation bound."""
-
-    value: float
-    tail: int
-    truncation_bound: float
-
-
-def shift_metric(u: SequenceSample, v: SequenceSample, tail: int) -> ShiftMetricResult:
-    """Truncated sum over |n| <= tail of 2^-|n| |u_n - v_n|.
-
-    The omitted tail of the untruncated sum is at most
-    2^(1-tail) * sup|u - v| (sup taken over the shared window).
-    """
-    if u.n_min != v.n_min or len(u.values) != len(v.values):
-        raise ValueError("sequences must share the same index window")
-    if tail < 0 or -tail < u.n_min or tail > u.n_max:
-        raise ValueError(f"tail {tail} outside window [{u.n_min}, {u.n_max}]")
-    diffs = np.abs(u.values - v.values)
-    ns = u.indices
-    sel = np.abs(ns) <= tail
-    weights = np.exp2(-np.abs(ns[sel]).astype(np.float64))
-    value = float(np.sum(weights * diffs[sel]))
-    bound = float(2.0 ** (1 - tail) * diffs.max())
-    return ShiftMetricResult(value=value, tail=tail, truncation_bound=bound)

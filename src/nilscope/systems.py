@@ -57,7 +57,6 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
     "default_heisenberg",
-    "factor_pi",
 ]
 
 DEFAULT_ALPHA = math.sqrt(2.0) - 1.0
@@ -303,8 +302,3 @@ _KINDS = {cls.kind: cls for cls in (HeisenbergSystem, RotationSystem)}
 def system_for(spec: SystemSpec) -> System:
     """The System object of the spec's kind."""
     return _KINDS[spec.kind](spec)
-
-
-def factor_pi(p: NilPoint) -> TorusPoint:
-    """Projection to the maximal equicontinuous factor: forget the central coordinate."""
-    return RotationSystem.point(System.factor(np.array(p.as_tuple(), dtype=np.float64)))

@@ -99,6 +99,16 @@ class TestGenerate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "observable", ["torus-character", "vertical-theta", "distance-to-base", "quadratic-phase"]
+    )
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_usage_error(self, tmp_path, capsys, observable, n):
+        out = tmp_path / "x.csv"
+        assert run(["generate", "--observable", observable, "--n", n, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: n: must be >= 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("observable", ["vertical-theta", "distance-to-base"])
     def test_nil_observable_on_a_rotation_is_usage_error(self, tmp_path, capsys, observable):
         out = tmp_path / "x.csv"

@@ -49,33 +49,6 @@ class TestGroupLaw:
             h.GroupElement(0, float("inf"), 0)
 
 
-class TestCommutator:
-    def test_generators(self):
-        assert h.commutator(h.GroupElement(1, 0, 0), h.GroupElement(0, 1, 0)) == h.GroupElement(
-            0, 0, 1
-        )
-
-    @given(elements())
-    def test_self_commutator_vanishes(self, g):
-        assert h.commutator(g, g) == h.GroupElement(0.0, 0.0, 0.0)
-
-    @given(st.floats(-10, 10), elements())
-    def test_center_commutes(self, c, g):
-        assert h.commutator(h.GroupElement(0, 0, c), g) == h.GroupElement(0.0, 0.0, 0.0)
-
-    @given(elements(), elements())
-    def test_centrality_exact(self, a, b):
-        k = h.commutator(a, b)
-        assert k.x == 0.0 and k.y == 0.0
-
-    @given(elements(), elements())
-    def test_matches_product_form(self, a, b):
-        k = h.commutator(a, b)
-        prod = h.mul(h.mul(a, b), h.mul(h.inv(a), h.inv(b)))
-        assert abs(k.z - prod.z) < 1e-12
-        assert abs(prod.x) < 1e-12 and abs(prod.y) < 1e-12
-
-
 class TestReduce:
     def test_worked_example(self):
         p = h.reduce(h.GroupElement(1.25, -0.5, 0.3))

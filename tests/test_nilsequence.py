@@ -46,9 +46,9 @@ class TestObservables:
             assert abs(f1 - f2) < 1e-8
 
     def test_raw_invariance_truncation_scaling(self, rng):
-        # The raw (unreduced) evaluation exposes the theta truncation:
-        # J = 6 is invariant below 1e-8 and doubling J from 3 gains far
-        # more than 1e3.
+        # The kernel on unreduced group coordinates exposes the theta
+        # truncation: J = 6 is invariant below 1e-8 and doubling J from 3
+        # gains far more than 1e3.
         def worst(J):
             obs = ns.ObservableSpec(kind="vertical_theta", m_freq=1, j_trunc=J)
             w = 0.0
@@ -56,13 +56,8 @@ class TestObservables:
             for _ in range(150):
                 g = h.GroupElement(*gen.uniform(-0.5, 1.5, 3))
                 gamma = h.GroupElement(*(float(v) for v in gen.integers(-3, 4, 3)))
-                w = max(
-                    w,
-                    abs(
-                        ns.eval_observable_raw(obs, g)
-                        - ns.eval_observable_raw(obs, h.mul(g, gamma))
-                    ),
-                )
+                f = ns._eval_arr(obs, np.array([g.as_tuple(), h.mul(g, gamma).as_tuple()]))
+                w = max(w, abs(f[0] - f[1]))
             return w
 
         w3, w6 = worst(3), worst(6)
@@ -97,9 +92,7 @@ class TestGenerate:
         obs = ns.ObservableSpec(kind="torus_character")
         u = ns.generate(spec, obs, 10)
         assert u.n_min == -10 and u.n_max == 10 and len(u.values) == 21
-        assert u.value_at(0) == ns.eval_observable(obs, h.NilPoint(0.0, 0.0, 0.0))
-        with pytest.raises(IndexError):
-            u.value_at(11)
+        assert u.values[0 - u.n_min] == ns.eval_observable(obs, h.NilPoint(0.0, 0.0, 0.0))
 
     def test_rotation_character_closed_form(self):
         rot = sy.SystemSpec(kind="torus_rotation", alpha=sy.DEFAULT_ALPHA, beta=sy.DEFAULT_BETA)
@@ -125,8 +118,10 @@ class TestGenerate:
 
     def test_rejects_bad_inputs(self, spec):
         obs = ns.ObservableSpec(kind="torus_character")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n: must be >= 1$"):
             ns.generate(spec, obs, 0)
+        with pytest.raises(ValueError, match="^n: must be >= 1$"):
+            ns.quadratic_phase(0.5, 0)
         rot = sy.SystemSpec(kind="torus_rotation")
         with pytest.raises(ValueError):
             ns.generate(rot, ns.ObservableSpec(kind="vertical_theta", m_freq=1), 10)
@@ -152,7 +147,7 @@ class TestQuadraticPhase:
         u = ns.quadratic_phase(0.5, 16)
         for n in range(-16, 17):
             expected = np.exp(1j * np.pi * (n * n % 2))
-            assert abs(u.value_at(n) - expected) < 1e-12
+            assert abs(u.values[n - u.n_min] - expected) < 1e-12
 
     def test_bounded_modulus_one(self):
         u = ns.quadratic_phase(math.sqrt(2) - 1, 500)

@@ -65,8 +65,8 @@ class TestRP:
             x = h.NilPoint(*rng.random(3))
             y = h.NilPoint(*rng.random(3))
             record = px.rp_search(spec, x, y, SMALL)
-            fx, fy = sy.factor_pi(x), sy.factor_pi(y)
-            mismatch = sy.RotationSystem.dist(np.array(fx.coords), np.array(fy.coords))
+            fx, fy = sy.System.factor(np.array([x.as_tuple(), y.as_tuple()]))
+            mismatch = sy.RotationSystem.dist(fx, fy)
             assert record.eps_achieved >= mismatch - 2 * SMALL.perturb_radius - 1e-12
 
     def test_symmetry(self, spec, rng):
@@ -185,8 +185,8 @@ class TestRP2:
         x = h.NilPoint(0.1, 0.2, 0.3)
         y = h.NilPoint(0.5, 0.2, 0.3)
         record = px.rp2_search(spec, x, y, SMALL)
-        fx, fy = sy.factor_pi(x), sy.factor_pi(y)
-        tor = sy.RotationSystem.dist(np.array(fx.coords), np.array(fy.coords))
+        fx, fy = sy.System.factor(np.array([x.as_tuple(), y.as_tuple()]))
+        tor = sy.RotationSystem.dist(fx, fy)
         assert record.eps_achieved >= 0.5 * tor - SMALL.perturb_radius
 
 
@@ -484,6 +484,23 @@ class TestPairMinOracle:
                     gathered.add(np.count_nonzero(head < bound) <= px._GATHER_MAX)
         if k == 2 and kind != "constant":
             assert gathered == {True, False}
+
+
+class TestPairOrder:
+    def test_matches_the_lexsort_order_on_ties(self):
+        # The stable sort of the flat costs against the three-key lexsort
+        # (cost, i, j) that defines the order, on costs with many ties.
+        gen = np.random.default_rng(7)
+        for _ in range(2000):
+            K = int(gen.integers(1, 17))
+            bx, by = gen.integers(0, 4, (2, K)) / 4.0
+            ii, jj = np.meshgrid(np.arange(K), np.arange(K), indexing="ij")
+            ii, jj = ii.ravel(), jj.ravel()
+            base = np.maximum(bx[ii], by[jj])
+            order = np.lexsort((jj, ii, base))
+            got = px._pair_order(bx, by)
+            for a, b in zip(got, (ii[order], jj[order], base[order])):
+                assert np.array_equal(a, b)
 
 
 class TestRotationInfimum:

@@ -225,6 +225,18 @@ class TestEngineOracleEquivalence:
         assert fast.violations.shifts.shape == (len(fast.violations), order + 1)
         assert_same_violations(fast, slow)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 10: the threshold tables compare np.abs, the oracle scalar abs, "
+        "and on complex values the two round apart at a threshold equal to a modulus",
+    )
+    def test_threshold_at_a_complex_modulus(self):
+        gen = np.random.default_rng(1)
+        u = sample(gen.standard_normal(40) + 1j * gen.standard_normal(40), n_min=0)
+        params = rg.RegularityParams(order=1, eps=1e9, delta=1.251449239332214, M=0, shift_max=1)
+        assert rg.naive_test(u, params).hypothesis_count == 143
+        self.assert_identical(u, params)
+
     @staticmethod
     def assert_identical(u, params):
         fast = rg.run_test(u, params)
@@ -438,40 +450,3 @@ class TestCalibrate:
         cal = rg.calibrate(u, 0.3, (5, 10, 25), (0.02, 0.05, 0.1), shift_max=60, order=2)
         assert len(cal.entries) == 9
         assert len(rows) == 181
-
-
-class TestShiftMetric:
-    def test_zero_for_equal(self, rng):
-        u = random_sample(rng, 20)
-        res = rg.shift_metric(u, u, tail=10)
-        assert res.value == 0.0
-
-    def test_geometric_sum(self):
-        N = 12
-        z = sample(np.zeros(2 * N + 1))
-        o = sample(np.ones(2 * N + 1))
-        res = rg.shift_metric(z, o, tail=N)
-        assert abs(res.value - (3.0 - 2.0 ** (1 - N))) < 1e-12
-        assert abs(res.truncation_bound - 2.0 ** (1 - N)) < 1e-15
-
-    def test_window_mismatch_rejected(self, rng):
-        u = random_sample(rng, 20)
-        v = random_sample(rng, 21)
-        with pytest.raises(ValueError):
-            rg.shift_metric(u, v, tail=5)
-
-    def test_tail_out_of_window_rejected(self, rng):
-        u = random_sample(rng, 20)
-        with pytest.raises(ValueError):
-            rg.shift_metric(u, u, tail=25)
-
-    def test_bounds_shift_system_objective(self, spec):
-        # Consistency with the orbit picture: the metric between a
-        # sequence and its 1-shift dominates the coordinate-0 mismatch,
-        # which is the crudest return-distance proxy.
-        obs = ns.ObservableSpec(kind="vertical_theta", m_freq=1)
-        u = ns.generate(spec, obs, 64)
-        shifted = ns.SequenceSample(values=np.roll(u.values, -1)[:-2], n_min=u.n_min)
-        trimmed = ns.SequenceSample(values=u.values[:-2], n_min=u.n_min)
-        res = rg.shift_metric(trimmed, shifted, tail=30)
-        assert res.value >= abs(trimmed.value_at(0) - shifted.value_at(0)) - 1e-12
