@@ -191,11 +191,6 @@ def _json_chunks(obj):
     yield text[done:]
 
 
-def _dump_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
-    return "".join(_json_chunks(obj))
-
-
 def _read_text(path: str, field: str) -> str:
     try:
         with open(path) as fh:

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import RotationSystem, System, SystemSpec, system_for
+from .systems import _SHIFT_LIMIT, RotationSystem, System, SystemSpec, system_for
 
 __all__ = [
     "Quad",
@@ -500,8 +500,12 @@ def _cells_below(tables, horizon: int, threshold: float, cap: int):
 
 
 def _check_horizon(horizon: int) -> None:
+    """1 <= horizon <= _SHIFT_LIMIT // 3 (333,333): the tables read one orbit
+    T^s v0 over |s| <= 3H, the shift of vertex 7 at the cube's corners."""
     if horizon < 1:
         raise ValueError("horizon: must be >= 1")
+    if horizon > _SHIFT_LIMIT // 3:
+        raise ValueError(f"horizon: must be <= {_SHIFT_LIMIT // 3}")
 
 
 def _search(system, base, targets, horizon, resid_tol):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .heisenberg import NilPoint, dist_arr
-from .systems import HeisenbergSystem, RotationSystem, SystemSpec, TorusPoint, system_for
+from .systems import _SHIFT_LIMIT, HeisenbergSystem, RotationSystem, SystemSpec, TorusPoint, system_for
 
 __all__ = [
     "ObservableSpec",
@@ -237,9 +237,16 @@ def observable_bound(obs: ObservableSpec) -> float:
 
 
 def _window(N: int) -> np.ndarray:
-    """The indices -N..N of a generated sample; checked before any other input."""
+    """The indices -N..N of a generated sample; checked before any other input.
+
+    N is at most the orbit shift limit ``systems._SHIFT_LIMIT`` (10^6), as
+    u_n reads T^n e; ``quadratic_phase`` rounds n^2 alpha once, by at most
+    2^-53 N^2 |alpha| (1.1e-4 |alpha| at that N).
+    """
     if N < 1:
         raise ValueError("n: must be >= 1")
+    if N > _SHIFT_LIMIT:
+        raise ValueError(f"n: must be <= {_SHIFT_LIMIT}")
     return np.arange(-N, N + 1)
 
 

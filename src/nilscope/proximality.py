@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubes import _GRID_CHUNK, Oct, vertex_shifts
-from .systems import System, SystemSpec, system_for
+from .systems import _SHIFT_LIMIT, System, SystemSpec, system_for
 
 __all__ = [
     "SearchBudget",
@@ -92,7 +92,16 @@ _GATHER_MAX = 96
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Scan bounds for a proximality witness search."""
+    """Scan bounds for a proximality witness search.
+
+    The tables of RP2 and RPDS read T^s x' at |s| <= 2 n_max, so n_max is
+    at most half the orbit shift limit ``systems._SHIFT_LIMIT`` (500,000).
+    The pair loop holds about six K x K arrays of 8-byte entries for K =
+    perturb_samples (pair bases, their order and the factor bounds), so
+    K <= 1024 keeps them near 50 MB (the peak that tracemalloc reads for
+    a search at n_max = 10); it also keeps each seed's samples inside its
+    stride of the Halton stream.
+    """
 
     n_max: int = 200
     perturb_samples: int = 16
@@ -102,8 +111,10 @@ class SearchBudget:
     def __post_init__(self):
         if self.n_max <= 0 or self.perturb_samples <= 0:
             raise ValueError("n_max and perturb_samples must be positive")
-        if self.perturb_samples >= _SEED_STRIDE:
-            raise ValueError(f"perturb_samples must be below {_SEED_STRIDE}")
+        if self.n_max > _SHIFT_LIMIT // 2:
+            raise ValueError(f"n_max must be <= {_SHIFT_LIMIT // 2}")
+        if self.perturb_samples > 1024:
+            raise ValueError("perturb_samples must be <= 1024")
         # Every distance here is below 1, so a larger ball is the whole space.
         if not 0 < self.perturb_radius <= 1:
             raise ValueError("perturb_radius must be in (0, 1]")

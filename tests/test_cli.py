@@ -119,6 +119,15 @@ class TestGenerate:
         assert not out.exists()
 
 
+    def test_base_of_two_coordinates_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["generate", "--observable", "distance-to-base", "--base", "0.1,0.2",
+                    "--n", "10", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: base: need 3 coordinates\n"
+        assert not out.exists()
+
+
 class TestRegtest:
     def make_sequence(self, tmp_path, kind="constant"):
         out = tmp_path / "seq.csv"
@@ -291,6 +300,54 @@ class TestRegtest:
         assert code == 2
         assert "error: M: required" in capsys.readouterr().err
 
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("order = 1\nshift_max 4\n")
+        assert run(["regtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config: line 2: expected key = value\n"
+
+    def test_config_comments_blank_lines_and_false(self, tmp_path, capsys):
+        seq = self.make_sequence(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a constant sequence\n\norder = 1  # the lowest\ncalibrate = false\n")
+        assert run(["regtest", "--config", str(cfg), "--input", str(seq), "--eps", "0.3",
+                    "--delta", "0.1", "--M", "1", "--shift-max", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "order-1 scan: 0 violation(s), hypothesis_count=4825, scanned=25 tuples, "
+            "k in [-96, 96]\n")
+
+    def test_clean_scan_csv_is_the_header_alone(self, tmp_path):
+        seq = self.make_sequence(tmp_path)
+        csv_out = tmp_path / "viol.csv"
+        assert run(["regtest", "--input", str(seq), "--order", "2", "--eps", "0.3",
+                    "--delta", "0.1", "--M", "1", "--shift-max", "2",
+                    "--csv", str(csv_out)]) == 0
+        assert csv_out.read_bytes() == b"k,m,n,p,gap\n"
+
+    @pytest.mark.parametrize("flag", ["--k-min", "--k-max"])
+    def test_one_k_bound_is_usage_error(self, tmp_path, capsys, flag):
+        seq = self.make_sequence(tmp_path)
+        assert run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.3",
+                    "--delta", "0.1", "--M", "1", flag, "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: k_range: give both k_min and k_max or neither\n")
+
+    def test_zero_delta_is_usage_error(self, tmp_path, capsys):
+        seq = self.make_sequence(tmp_path)
+        rep = tmp_path / "rep.json"
+        assert run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.3",
+                    "--delta", "0", "--M", "1", "--out", str(rep)]) == 2
+        assert capsys.readouterr().err == "error: eps and delta must be positive\n"
+        assert not rep.exists()
+
+    def test_json_sequence_without_values_exit2(self, tmp_path, capsys):
+        seq = tmp_path / "empty.json"
+        seq.write_text(json.dumps({"n_min": 0, "values": []}))
+        assert run(["regtest", "--input", str(seq), "--order", "1", "--eps", "0.3",
+                    "--delta", "0.1", "--M", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: input: {seq}: values must be a nonempty 1-d array\n")
+
 
 def bump_sequence(path):
     """A zero sequence on [-6, 6] with one complex bump at 0: two violations at S=1."""
@@ -336,13 +393,21 @@ class TestReportBytes:
     @pytest.mark.parametrize("order", [1, 2])
     def test_scan_reports(self, order):
         payload = self.scan_payload(order)
-        assert cli._dump_json(payload) == reference_json(payload)
+        assert "".join(cli._json_chunks(payload)) == reference_json(payload)
+
+    def test_other_objects_raise_jsons_type_error(self):
+        payload = {"command": "regtest", "ks": {1, 2}}
+        with pytest.raises(TypeError) as want:
+            json.dumps(payload, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            "".join(cli._json_chunks(payload))
+        assert str(got.value) == str(want.value)
 
     def test_zero_violations(self):
         payload = self.scan_payload(1)
         empty = rg.ViolationColumns(np.zeros(0, np.int64), np.zeros((0, 2), np.int64), np.zeros(0))
         payload["report"]["violations"] = empty
-        text = cli._dump_json(payload)
+        text = "".join(cli._json_chunks(payload))
         assert text == reference_json(payload)
         assert '"violations": []' in text
 
@@ -361,7 +426,7 @@ class TestReportBytes:
         payload = {"hypothesis_count": 7, "violations": columns, "vacuous": False}
         for _ in range(depth):
             payload = {"a": [1.5, None], "report": payload, "z": "last"}
-        assert cli._dump_json(payload) == reference_json(payload)
+        assert "".join(cli._json_chunks(payload)) == reference_json(payload)
 
     def test_calibrate_payload(self, tmp_path, monkeypatch):
         seq = bump_sequence(tmp_path / "bump.csv")
@@ -374,7 +439,7 @@ class TestReportBytes:
         assert code == 1
         (payload,) = payloads
         assert payload["calibrate"]["entries"] and payload["report"]["violations"].k.size
-        assert cli._dump_json(payload) == reference_json(payload)
+        assert "".join(cli._json_chunks(payload)) == reference_json(payload)
 
     def test_out_equals_json_stdout(self, tmp_path, capsys):
         seq = bump_sequence(tmp_path / "bump.csv")
@@ -425,7 +490,7 @@ class TestReportBytes:
         payload = {"order": order, "report": {"violations": columns, "vacuous": False}, "z": [0.5]}
         want = reference_json(payload)
         assert len(list(cli._json_chunks(payload))) > 3  # prefix, two or more chunks, suffix
-        assert cli._dump_json(payload) == want
+        assert "".join(cli._json_chunks(payload)) == want
         out = tmp_path / "rep.json"
         cli._atomic_write(str(out), cli._json_chunks(payload))
         assert out.read_bytes() == want.encode()
@@ -444,7 +509,7 @@ class TestReportBytes:
         chunks = -(-len(columns) // rows)
         assert len(list(cli._violations_json(columns, "    "))) == chunks > 1
         assert len(list(cli._violations_csv(columns))) == chunks
-        assert cli._dump_json(payload) == want_json
+        assert "".join(cli._json_chunks(payload)) == want_json
         assert "".join(cli._violations_csv(columns)) == want_csv
 
     @pytest.mark.parametrize(
@@ -604,6 +669,22 @@ class TestCubeCommands:
         assert "want a list of reals" in capsys.readouterr().err
 
 
+    def test_four_coordinate_point_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": [[0.1, 0.2, 0.3, 0.4]] * 4}))
+        assert run(["pgram-test", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: input: point [0.1, 0.2, 0.3, 0.4]: want 1, 2 or 3 coordinates\n")
+
+    def test_input_that_is_not_json_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "points.json"
+        path.write_text("{nope")
+        with pytest.raises(json.JSONDecodeError) as why:
+            json.loads("{nope")
+        assert run(["pped-test", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: input: {path} is not valid JSON: {why.value}\n"
+
+
 class TestProxCommands:
     def test_rp_trivial(self, tmp_path):
         out = tmp_path / "rp.json"
@@ -631,6 +712,23 @@ class TestProxCommands:
             pair.write_text(json.dumps(payload))
             assert run(["rp-search", "--input", str(pair)]) == 2
             assert "want a list of reals" in capsys.readouterr().err
+
+    def test_pair_file_without_y_is_usage_error(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"x": [0.3, 0.4, 0.2]}))
+        assert run(["rp-search", "--input", str(pair)]) == 2
+        assert capsys.readouterr().err == f"error: input: {pair}: expected JSON with x, y\n"
+
+    def test_torus_coordinate_outside_the_circle_is_usage_error(self, capsys):
+        assert run(["rp-search", "--system", "torus-rotation", "--x", "1.5,0.2",
+                    "--y", "0.1,0.2"]) == 2
+        assert capsys.readouterr().err == "error: x: torus coordinate 1.5 outside [0, 1)\n"
+
+    @pytest.mark.parametrize("name, value", [("alpha", "nan"), ("beta", "inf"), ("gamma0", "-inf")])
+    def test_non_finite_system_parameter_is_usage_error(self, capsys, name, value):
+        argv = ["rp-search", f"--{name}={value}", "--x", "0.1,0.2,0.3", "--y", "0.1,0.2,0.3"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: system: {name} must be finite\n"
 
     @pytest.mark.parametrize("x", ["0.3,zap,0.2", "0.3,1.5,0.2", "nan,0.4,0.2"])
     def test_bad_point_flag_is_usage_error(self, x, capsys):
@@ -698,6 +796,50 @@ class TestProxCommands:
         code = run([command, "--x", "0.3,0.4,0.2", "--y", "0.3,0.4,0.7", "--workers", "0"])
         assert code == 2
         assert "workers" in capsys.readouterr().err
+
+
+class TestSizeBounds:
+    """A size flag beyond its bound exits 2 before any work, naming the flag."""
+
+    PAIR = ["--x", "0.1,0.2,0.3", "--y", "0.1,0.2,0.4"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--observable", "torus-character", "--n", "99999999999999"],
+         "n: must be <= 1000000"),
+        (["rp-search", *PAIR, "--n-max", "99999999999999"],
+         "budget: n_max must be <= 500000"),
+        (["rp-search", *PAIR, "--perturb-samples", "1048575"],
+         "budget: perturb_samples must be <= 1024"),
+        (["pped-test", "--horizon", "2000000000"], "horizon: must be <= 333333"),
+        (["pped-complete", "--horizon", "333334"], "horizon: must be <= 333333"),
+    ], ids=["generate-n", "rp-n-max", "rp-perturb-samples", "pped-test-horizon",
+            "pped-complete-horizon"])
+    def test_oversized_flag_is_usage_error(self, tmp_path, capsys, oct_fixture, argv, message):
+        path, o = oct_fixture
+        if argv[0] == "pped-complete":
+            write_points(path, o.vertices[:7])
+        if argv[0].startswith("pped"):
+            argv = [*argv, "--input", str(path)]
+        out = tmp_path / "report.json"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestMain:
+    def test_a_broken_pipe_on_stdout_exits_2(self, tmp_path, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                raise BrokenPipeError
+
+        out = tmp_path / "seq.csv"
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert run(["generate", "--observable", "torus-character", "--n", "3",
+                    "--out", str(out)]) == 2
 
 
 class TestParser:
@@ -774,7 +916,7 @@ class TestAtomicWrite:
     def test_report_is_the_dump_and_no_temp_is_left(self, tmp_path):
         out = tmp_path / "r.json"
         cli._atomic_write(str(out), cli._json_chunks(self.PAYLOAD))
-        assert out.read_bytes() == cli._dump_json(self.PAYLOAD).encode()
+        assert out.read_bytes() == "".join(cli._json_chunks(self.PAYLOAD)).encode()
         assert os.listdir(tmp_path) == ["r.json"]
 
     def test_report_mode_is_owner_only(self, tmp_path):

@@ -291,6 +291,9 @@ class TestSearchPaths:
                 else:
                     assert got == want
 
+    def test_nothing_is_below_zero(self, tables):
+        assert cb._cells_below(tables, self.H, 0.0, 4096) == []
+
     def test_grid_scan(self, tables, monkeypatch):
         # Rounded tables make many objective ties for the tie-break.
         rounded = {v: (off, np.round(D, 1)) for v, (off, D) in tables.items()}
@@ -594,6 +597,14 @@ class TestCompletion:
         with pytest.raises(ValueError, match="^horizon: must be >= 1$") as err:
             cb.pped_complete(spec, seven, horizon=0)
         assert not isinstance(err.value, cb.FacePreconditionError)
+
+    def test_horizon_beyond_the_shift_limit_is_refused(self, spec, rng):
+        # The tables read T^s v0 at |s| <= 3H, and orbits are trusted to |s| <= 10^6.
+        o = cb.sample_pped(spec, random_point(rng), 3, 5, 7)
+        for search in (lambda H: cb.pped_search(spec, o, horizon=H),
+                       lambda H: cb.pped_complete(spec, o.vertices[:7], horizon=H)):
+            with pytest.raises(ValueError, match="^horizon: must be <= 333333$"):
+                search(333_334)
 
     def test_spread_and_near_witness_consistency(self, spec, rng):
         # Witnesses within 2x of the best residual complete to nearby

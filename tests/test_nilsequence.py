@@ -27,6 +27,13 @@ class TestObservables:
         q = h.NilPoint(0.3, 0.4, 0.8)
         assert ns.eval_observable(obs, p) == ns.eval_observable(obs, q)
 
+    @pytest.mark.parametrize("obs", [ns.ObservableSpec(kind="vertical_theta"),
+                                     ns.ObservableSpec(kind="distance_to_base")],
+                             ids=["vertical_theta", "distance_to_base"])
+    def test_nil_observables_refuse_a_torus_point(self, obs):
+        with pytest.raises(ValueError, match=f"^{obs.kind} needs a NilPoint$"):
+            ns.eval_observable(obs, sy.TorusPoint((0.3, 0.4)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ns.ObservableSpec(kind="bogus")
@@ -125,6 +132,15 @@ class TestGenerate:
         rot = sy.SystemSpec(kind="torus_rotation")
         with pytest.raises(ValueError):
             ns.generate(rot, ns.ObservableSpec(kind="vertical_theta", m_freq=1), 10)
+
+    def test_window_beyond_the_shift_limit_is_refused(self, spec):
+        # Orbits are trusted to |n| <= 10^6, so N is too; the check runs before any array.
+        assert len(ns._window(10**6)) == 2 * 10**6 + 1
+        obs = ns.ObservableSpec(kind="torus_character")
+        with pytest.raises(ValueError, match="^n: must be <= 1000000$"):
+            ns.generate(spec, obs, 10**6 + 1)
+        with pytest.raises(ValueError, match="^n: must be <= 1000000$"):
+            ns.quadratic_phase(0.5, 99_999_999_999_999)
 
     def test_one_torus_character_refuses_k2(self):
         circle = sy.SystemSpec(kind="torus_rotation", dims=1)

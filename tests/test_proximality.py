@@ -576,6 +576,15 @@ class TestBudgetValidation:
         with pytest.raises(ValueError):
             px.SearchBudget(time_cap_ms=0)
 
+    def test_rejects_sizes_beyond_their_bounds(self):
+        for samples in (1025, 1 << 20):
+            with pytest.raises(ValueError, match="^perturb_samples must be <= 1024$"):
+                px.SearchBudget(perturb_samples=samples)
+        with pytest.raises(ValueError, match="^n_max must be <= 500000$"):
+            px.SearchBudget(n_max=500_001)
+        budget = px.SearchBudget(n_max=500_000, perturb_samples=1024)
+        assert (budget.n_max, budget.perturb_samples) == (500_000, 1024)
+
     @pytest.mark.parametrize("radius", [np.inf, 1e300, 1.0 + 1e-9, np.nan])
     def test_rejects_radius_beyond_the_space(self, radius):
         with pytest.raises(ValueError, match="perturb_radius"):

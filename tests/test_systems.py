@@ -22,6 +22,12 @@ class TestSpec:
         a = math.sqrt(2) - 1
         assert sy.SystemSpec(alpha=a, beta=a).rationally_dependent
 
+    def test_overflowing_sum_is_never_tested(self):
+        # alpha + beta overflows to inf only when both are integer-valued,
+        # and the alpha test flags that first.
+        assert sy.SystemSpec(alpha=1e308, beta=1e308).rationally_dependent
+        assert sy.SystemSpec(alpha=-1e308, beta=1e308).rationally_dependent
+
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             sy.SystemSpec(kind="circle")
@@ -163,6 +169,10 @@ class TestRotation:
         frac = (a - b) - np.floor(a - b)
         want = np.minimum(frac, 1.0 - frac).max(axis=-1)
         assert np.array_equal(sy.RotationSystem.dist(a, b), want)
+
+    def test_dist_of_rows_of_different_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="^torus points of different dimension$"):
+            sy.RotationSystem.dist(np.zeros((3, 1)), np.zeros((3, 2)))
 
     def test_dimension_mismatch_rejected(self):
         rot = sy.SystemSpec(kind="torus_rotation", dims=2)
